@@ -1,4 +1,4 @@
-//! Criterion ablations for the design choices DESIGN.md calls out:
+//! Criterion ablations for four design choices:
 //!
 //! 1. fixed vs dynamic CAD — time-to-connect under broken IPv6;
 //! 2. Resolution Delay present vs absent under a slow A lookup (the §5.2

@@ -1,6 +1,6 @@
 //! # lazyeye-bench — experiment reproduction harness
 //!
-//! One binary per paper table/figure (see DESIGN.md's experiment index):
+//! One binary per paper table/figure:
 //!
 //! | Binary         | Reproduces |
 //! |----------------|------------|
@@ -17,8 +17,8 @@
 //! | `repro_all`    | everything above, into `results/` |
 //!
 //! Criterion benches (`cargo bench`) measure the framework itself (DNS
-//! codec, simulator core, HE engine, resolver) and the ablations DESIGN.md
-//! calls out.
+//! codec, simulator core, HE engine, resolver) and four design ablations
+//! (see `benches/ablations.rs`).
 
 use std::io::Write;
 use std::path::{Path, PathBuf};

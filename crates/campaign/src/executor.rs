@@ -102,7 +102,8 @@ pub struct RunContext {
 #[derive(Default)]
 struct FastCache {
     cad: HashMap<String, CadFastPath>,
-    rd: HashMap<(String, DelayedRecord), RdFastPath>,
+    /// Keyed record-first so a run looks its model up by `&str`.
+    rd: HashMap<DelayedRecord, HashMap<String, RdFastPath>>,
 }
 
 impl FastCache {
@@ -164,7 +165,10 @@ impl FastCache {
             let profile = ctx.client(client);
             if let Some(fp) = RdFastPath::calibrate(profile, record, spec.seed, &endpoints(&cells))
             {
-                fast.rd.insert((client.to_string(), record), fp);
+                fast.rd
+                    .entry(record)
+                    .or_default()
+                    .insert(client.to_string(), fp);
             }
         }
         fast
@@ -236,6 +240,13 @@ impl RunContext {
         self.clients
             .get(id)
             .unwrap_or_else(|| panic!("run references unresolved client {id:?}"))
+    }
+
+    /// Verified fast-path models held: `(cad, rd)`.
+    #[cfg(test)]
+    pub(crate) fn fast_models(&self) -> (usize, usize) {
+        let rd = self.fast.rd.values().map(HashMap::len).sum();
+        (self.fast.cad.len(), rd)
     }
 
     fn netem(&self, label: &str) -> &[NetemRule] {
@@ -315,7 +326,7 @@ fn run_one_inner(ctx: &RunContext, run: &RunSpec) -> RunOutput {
             let rules = ctx.netem(netem);
             let fast = rules
                 .is_empty()
-                .then(|| ctx.fast.rd.get(&(client.clone(), *record)))
+                .then(|| ctx.fast.rd.get(record)?.get(client.as_str()))
                 .flatten()
                 .and_then(|fp| match fp.run_detailed(*delay_ms, *rep) {
                     Ok(sample) => Some(sample),

@@ -389,6 +389,16 @@ mod tests {
         let slow = run_campaign(&spec, 4, |_, _| {}).unwrap();
         let fast = run_campaign_with(&spec, 4, true, |_, _| {}).unwrap();
         assert_eq!(slow.to_json(), fast.to_json());
+        // Identical reports alone would also pass with every RD run
+        // simulated: the models must really be there to serve the runs.
+        let runs = plan::expand(&spec).unwrap();
+        let ctx = RunContext::new_with(&spec, &runs, true).unwrap();
+        let clients = spec.clients.len();
+        assert_eq!(
+            ctx.fast_models(),
+            (0, 2 * clients),
+            "every RD model verifies"
+        );
     }
 
     #[test]

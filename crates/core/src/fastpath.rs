@@ -13,7 +13,6 @@
 //! caller falls back to full simulation. That refusal discipline is what
 //! keeps fast-path campaign reports byte-identical to simulated ones.
 
-use std::collections::HashMap;
 use std::net::IpAddr;
 use std::time::Duration;
 
@@ -46,8 +45,53 @@ pub struct Timeline {
     /// arrival times (non-decreasing). The channel closes after the
     /// last one.
     pub dns: Vec<(SimTime, DnsAnswer)>,
-    /// Handshake outcome per candidate endpoint the machine may try.
-    pub connect: HashMap<(IpAddr, CandidateProto), AttemptOutcome>,
+    /// Handshake outcome per candidate endpoint the machine may try
+    /// (a handful of entries, so a list beats a hash map).
+    pub connect: Vec<((IpAddr, CandidateProto), AttemptOutcome)>,
+}
+
+impl Timeline {
+    /// The calibrated answers as unshifted [`Arrival`]s, in channel order.
+    pub fn arrivals(&self) -> Vec<Arrival<'_>> {
+        self.dns
+            .iter()
+            .map(|(at, answer)| Arrival {
+                at: *at,
+                shift: Duration::ZERO,
+                answer,
+            })
+            .collect()
+    }
+
+    /// The handshake outcome recorded for `(addr, proto)`, if any.
+    pub fn outcome(&self, addr: IpAddr, proto: CandidateProto) -> Option<AttemptOutcome> {
+        self.connect
+            .iter()
+            .find(|(key, _)| *key == (addr, proto))
+            .map(|(_, o)| *o)
+    }
+}
+
+/// One terminal DNS answer as the resolver channel yields it, borrowed
+/// from a calibrated [`Timeline`]. The answer is cloned only when the
+/// machine consumes it.
+#[derive(Copy, Clone, Debug)]
+pub struct Arrival<'a> {
+    /// When the channel yields the answer.
+    pub at: SimTime,
+    /// How far the answer was moved from its calibrated arrival; added
+    /// to the answer's own timestamp when the machine receives it.
+    pub shift: Duration,
+    /// The calibrated answer.
+    pub answer: &'a DnsAnswer,
+}
+
+impl Arrival<'_> {
+    fn input(&self) -> Input {
+        let mut answer = self.answer.clone();
+        answer.at += self.shift;
+        Input::Dns(Some(answer))
+    }
 }
 
 /// Why the analytic drive declined to produce a result.
@@ -102,18 +146,21 @@ struct InFlight {
     result: Result<Duration, &'static str>,
 }
 
-/// Drives a fresh [`HeMachine`] against `timeline`, starting at virtual
-/// time `start`. Pure: no clock, sockets, RNG, or shared state. Uses a
-/// fresh [`HistoryStore`] for CAD computation (matching the testbed's
-/// per-run reset), so dynamic-CAD profiles take their deterministic
-/// no-history value exactly as they do under full simulation.
+/// Drives a fresh [`HeMachine`] starting at virtual time `start` against
+/// the answers `dns` (in channel order, non-decreasing `at`) and the
+/// handshake outcomes `connect` reports per candidate endpoint. Pure: no
+/// clock, sockets, RNG, or shared state. Uses a fresh [`HistoryStore`]
+/// for CAD computation (matching the testbed's per-run reset), so
+/// dynamic-CAD profiles take their deterministic no-history value
+/// exactly as they do under full simulation.
 pub fn drive(
     cfg: &HeConfig,
     qtypes: Vec<lazyeye_dns::RrType>,
     start: SimTime,
-    timeline: &Timeline,
+    dns: &[Arrival<'_>],
+    connect: impl Fn(IpAddr, CandidateProto) -> Option<AttemptOutcome>,
 ) -> Result<FastRun, Refusal> {
-    let result = drive_inner(cfg, qtypes, start, timeline);
+    let result = drive_inner(cfg, qtypes, start, dns, connect);
     if let Err(refusal) = &result {
         lazyeye_obs::recorder::record(
             lazyeye_obs::Clock::Virtual,
@@ -128,7 +175,8 @@ fn drive_inner(
     cfg: &HeConfig,
     qtypes: Vec<lazyeye_dns::RrType>,
     start: SimTime,
-    timeline: &Timeline,
+    dns: &[Arrival<'_>],
+    connect: impl Fn(IpAddr, CandidateProto) -> Option<AttemptOutcome>,
 ) -> Result<FastRun, Refusal> {
     let deadline = start + cfg.overall_deadline;
     let mut machine = HeMachine::new(cfg.clone(), qtypes, deadline);
@@ -146,7 +194,7 @@ fn drive_inner(
                 Output::Trace(e) => log.push(e.at, e.kind),
                 Output::SendQuery { .. } => {}
                 Output::StartAttempt { index, candidate } => {
-                    let Some(o) = timeline.connect.get(&(candidate.addr, candidate.proto)) else {
+                    let Some(o) = connect(candidate.addr, candidate.proto) else {
                         return Err(Refusal::UnknownCandidate);
                     };
                     // `timeout(attempt_timeout, connect)` polls the inner
@@ -196,26 +244,26 @@ fn drive_inner(
         input = match machine.waiting() {
             Waiting::CachedAttempt { .. } => return Err(Refusal::CachedPath),
             Waiting::Cad { dst } => Input::Cad(history.cad_for(cfg.cad, dst)),
-            Waiting::Dns => match timeline.dns.get(dns_i) {
-                Some((at, ans)) => {
-                    t = t.max(*at);
+            Waiting::Dns => match dns.get(dns_i) {
+                Some(arrival) => {
+                    t = t.max(arrival.at);
                     dns_i += 1;
-                    Input::Dns(Some(ans.clone()))
+                    arrival.input()
                 }
                 // All senders done: the channel yields `None` at the
                 // current instant.
                 None => Input::Dns(None),
             },
-            Waiting::DnsOrTimer { deadline: rd } => match timeline.dns.get(dns_i) {
+            Waiting::DnsOrTimer { deadline: rd } => match dns.get(dns_i) {
                 // A closed channel is ready on the very first poll,
                 // before any timer can fire.
                 None => Input::Dns(None),
-                Some((at, ans)) => {
-                    let eff = (*at).max(t);
+                Some(arrival) => {
+                    let eff = arrival.at.max(t);
                     if eff < rd {
                         t = eff;
                         dns_i += 1;
-                        Input::Dns(Some(ans.clone()))
+                        arrival.input()
                     } else if rd < eff {
                         t = rd;
                         Input::Timer
@@ -247,8 +295,8 @@ fn drive_inner(
                 }
                 let timer = next_start.map(|s| s.max(t));
                 let dns_next = if dns_open {
-                    match timeline.dns.get(dns_i) {
-                        Some((at, _)) => Some((*at).max(t)),
+                    match dns.get(dns_i) {
+                        Some(arrival) => Some(arrival.at.max(t)),
                         None => {
                             // Channel closed: ready immediately on first
                             // poll — unless a completion is also ready
@@ -306,7 +354,7 @@ fn drive_inner(
                     Some((time, _)) => {
                         t = time;
                         dns_i += 1;
-                        Input::Dns(Some(timeline.dns[dns_i - 1].1.clone()))
+                        dns[dns_i - 1].input()
                     }
                     // No sources at all: the run can only end via the
                     // overall deadline.
@@ -387,7 +435,8 @@ mod tests {
             &cfg,
             vec![RrType::Aaaa, RrType::A],
             SimTime::ZERO,
-            &timeline,
+            &timeline.arrivals(),
+            |addr, proto| timeline.outcome(addr, proto),
         )
         .expect("no ties in this timeline");
         let winner = run.result.expect("connects");
@@ -421,7 +470,8 @@ mod tests {
             &cfg,
             vec![RrType::Aaaa, RrType::A],
             SimTime::ZERO,
-            &timeline,
+            &timeline.arrivals(),
+            |addr, proto| timeline.outcome(addr, proto),
         );
         assert!(matches!(r, Err(Refusal::Tie)));
     }
@@ -432,13 +482,14 @@ mod tests {
         let t0 = SimTime::ZERO;
         let timeline = Timeline {
             dns: vec![answer(t0, RrType::Aaaa, v6("2001:db8::1"))],
-            connect: HashMap::new(),
+            connect: Vec::new(),
         };
         let r = drive(
             &cfg,
             vec![RrType::Aaaa, RrType::A],
             SimTime::ZERO,
-            &timeline,
+            &timeline.arrivals(),
+            |addr, proto| timeline.outcome(addr, proto),
         );
         assert!(matches!(r, Err(Refusal::UnknownCandidate)));
     }

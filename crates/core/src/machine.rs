@@ -247,9 +247,18 @@ impl Gathered {
     }
 }
 
+/// Drops repeated addresses, keeping first occurrences in order. A
+/// linear scan: a family carries one or two addresses, where hashing
+/// costs more than comparing.
 fn dedup_preserving_order(v: &mut Vec<IpAddr>) {
-    let mut seen = std::collections::HashSet::new();
-    v.retain(|a| seen.insert(*a));
+    let mut kept = 0;
+    for i in 0..v.len() {
+        if !v[..kept].contains(&v[i]) {
+            v.swap(kept, i);
+            kept += 1;
+        }
+    }
+    v.truncate(kept);
 }
 
 #[derive(Copy, Clone)]

@@ -374,9 +374,16 @@ impl std::fmt::Display for Json {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level; past this bound it returns an error rather
+/// than overflow the stack.
+pub const MAX_DEPTH: usize = 512;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -423,12 +430,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -609,6 +629,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -965,6 +986,18 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"\u{01}\"").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let deepest = Json::parse(&nest(MAX_DEPTH)).unwrap();
+        assert_eq!(Json::parse(&deepest.to_string_compact()).unwrap(), deepest);
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        for src in [nest(MAX_DEPTH + 1), objects, "[".repeat(200_000)] {
+            let err = Json::parse(&src).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than 512"), "{err}");
+        }
     }
 
     #[test]

@@ -23,13 +23,13 @@
 //! The fallback discipline is what keeps fast-path results byte-identical
 //! to simulated ones rather than merely close.
 
-use std::collections::HashMap;
-use std::net::SocketAddr;
+use std::net::{IpAddr, SocketAddr};
 use std::rc::Rc;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use lazyeye_clients::ClientProfile;
-use lazyeye_core::fastpath::{drive, AttemptOutcome, Timeline};
+use lazyeye_core::fastpath::{drive, Arrival, AttemptOutcome, Timeline};
 use lazyeye_core::{CandidateProto, HeLog};
 use lazyeye_dns::RrType;
 use lazyeye_net::Family;
@@ -48,6 +48,13 @@ use crate::topology::{
 
 fn counter(name: &'static str) -> &'static lazyeye_obs::Counter {
     lazyeye_obs::counter(name, lazyeye_obs::Clock::Virtual)
+}
+
+/// Books one fast run. The handle is cached: every fast run bumps it,
+/// and a registry lookup takes the global registry lock.
+fn note_fast_run() {
+    static RUNS: OnceLock<&'static lazyeye_obs::Counter> = OnceLock::new();
+    RUNS.get_or_init(|| counter("fastpath.runs")).inc();
 }
 
 /// Books one fallback: the aggregate `fastpath.fallbacks` stays the sum
@@ -111,7 +118,7 @@ fn probe(profile: &ClientProfile, topo: &mut LocalTopology, qname: &lazyeye_dns:
                 dns.push((lazyeye_sim::now(), ans));
             }
         }
-        let mut connect = HashMap::new();
+        let mut connect = Vec::new();
         for addr in [server_v6(), server_v4()] {
             let t0 = lazyeye_sim::now();
             let dst = SocketAddr::new(addr, 80);
@@ -131,7 +138,7 @@ fn probe(profile: &ClientProfile, topo: &mut LocalTopology, qname: &lazyeye_dns:
                     result: Err("timeout"),
                 },
             };
-            connect.insert((addr, CandidateProto::Tcp), outcome);
+            connect.push(((addr, CandidateProto::Tcp), outcome));
         }
         Timeline { dns, connect }
     })
@@ -155,6 +162,8 @@ pub struct CadFastPath {
     qtypes: Vec<RrType>,
     base: Timeline,
     aaaa_first: Option<bool>,
+    /// The server's IPv6 address: the endpoint the egress delay slows.
+    v6: IpAddr,
 }
 
 impl CadFastPath {
@@ -188,6 +197,7 @@ impl CadFastPath {
             qtypes: StubConfig::default().qtypes,
             base,
             aaaa_first,
+            v6: server_v6(),
         };
         for &(delay_ms, run_seed) in verify {
             let (actual, actual_log) = run_cad_once_log(profile, delay_ms, 0, run_seed);
@@ -216,7 +226,7 @@ impl CadFastPath {
     pub fn run_detailed(&self, delay_ms: u64, rep: u32) -> Result<CadSample, &'static str> {
         match self.run_logged(delay_ms, rep) {
             Ok((sample, _)) => {
-                counter("fastpath.runs").inc();
+                note_fast_run();
                 Ok(sample)
             }
             Err(reason) => {
@@ -227,14 +237,22 @@ impl CadFastPath {
     }
 
     fn run_logged(&self, delay_ms: u64, rep: u32) -> Result<(CadSample, HeLog), &'static str> {
-        let mut timeline = self.base.clone();
-        timeline
-            .connect
-            .get_mut(&(server_v6(), CandidateProto::Tcp))
-            .ok_or("unknown_candidate")?
-            .duration += Duration::from_millis(delay_ms);
-        let run = drive(&self.cfg, self.qtypes.clone(), SimTime::ZERO, &timeline)
-            .map_err(|r| r.label())?;
+        let extra = Duration::from_millis(delay_ms);
+        let connect = |addr: IpAddr, proto: CandidateProto| {
+            let mut o = self.base.outcome(addr, proto)?;
+            if (addr, proto) == (self.v6, CandidateProto::Tcp) {
+                o.duration += extra;
+            }
+            Some(o)
+        };
+        let run = drive(
+            &self.cfg,
+            self.qtypes.clone(),
+            SimTime::ZERO,
+            &self.base.arrivals(),
+            connect,
+        )
+        .map_err(|r| r.label())?;
         let sample = CadSample {
             configured_delay_ms: delay_ms,
             rep,
@@ -341,7 +359,8 @@ impl RdFastPath {
     /// One modelled cell: the configured answer delay shifts the delayed
     /// record's arrival; the channel re-sorts by arrival time. A shifted
     /// answer landing at the same instant as an unshifted one makes the
-    /// channel order simulator-dependent, so that cell refuses.
+    /// channel order simulator-dependent, so that cell refuses — except
+    /// at zero delay, where nothing moved and the calibrated order holds.
     pub fn run(&self, delay_ms: u64, rep: u32) -> Option<RdSample> {
         self.run_detailed(delay_ms, rep).ok()
     }
@@ -351,7 +370,7 @@ impl RdFastPath {
     pub fn run_detailed(&self, delay_ms: u64, rep: u32) -> Result<RdSample, &'static str> {
         match self.run_logged(delay_ms, rep) {
             Ok((sample, _)) => {
-                counter("fastpath.runs").inc();
+                note_fast_run();
                 Ok(sample)
             }
             Err(reason) => {
@@ -362,36 +381,42 @@ impl RdFastPath {
     }
 
     fn run_logged(&self, delay_ms: u64, rep: u32) -> Result<(RdSample, HeLog), &'static str> {
-        let shift = Duration::from_millis(delay_ms);
-        let mut entries: Vec<(SimTime, bool, DnsAnswer)> = self
+        let delay = Duration::from_millis(delay_ms);
+        let mut dns: Vec<Arrival<'_>> = self
             .base
             .dns
             .iter()
-            .map(|(t, ans)| {
-                if ans.qtype == self.target {
-                    let mut ans = ans.clone();
-                    ans.at += shift;
-                    (*t + shift, true, ans)
+            .map(|(at, answer)| {
+                let shift = if answer.qtype == self.target {
+                    delay
                 } else {
-                    (*t, false, ans.clone())
+                    Duration::ZERO
+                };
+                Arrival {
+                    at: *at + shift,
+                    shift,
+                    answer,
                 }
             })
             .collect();
         // Stable by time: equally-shifted answers keep their calibrated
-        // channel order; a cross-shift tie is ambiguous.
-        entries.sort_by_key(|(t, _, _)| *t);
-        if entries
+        // channel order; a cross-shift tie is ambiguous. At zero delay
+        // every shift is zero, so the calibrated order stands untouched.
+        dns.sort_by_key(|a| a.at);
+        if dns
             .windows(2)
-            .any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
+            .any(|w| w[0].at == w[1].at && w[0].shift != w[1].shift)
         {
             return Err("tie");
         }
-        let timeline = Timeline {
-            dns: entries.into_iter().map(|(t, _, ans)| (t, ans)).collect(),
-            connect: self.base.connect.clone(),
-        };
-        let run = drive(&self.cfg, self.qtypes.clone(), SimTime::ZERO, &timeline)
-            .map_err(|r| r.label())?;
+        let run = drive(
+            &self.cfg,
+            self.qtypes.clone(),
+            SimTime::ZERO,
+            &dns,
+            |addr, proto| self.base.outcome(addr, proto),
+        )
+        .map_err(|r| r.label())?;
         let first_attempt_ms = [Family::V6, Family::V4]
             .iter()
             .filter_map(|f| run.log.first_attempt(*f))
@@ -438,7 +463,7 @@ mod tests {
     use super::*;
     use crate::cases::SweepSpec;
     use crate::runner::{run_cad_case, run_rd_case};
-    use lazyeye_clients::table2_clients;
+    use lazyeye_clients::{all_measured_clients, table2_clients};
 
     fn cad_eq(a: &CadSample, b: &CadSample) {
         assert_eq!(a.configured_delay_ms, b.configured_delay_ms);
@@ -492,6 +517,125 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn rd_models_verify_from_zero_delay_for_every_measured_client() {
+        // Every RD sweep starts at 0 ms, where the delayed and the
+        // undelayed answer arrive together. That endpoint is no tie: the
+        // calibrated channel order holds, so every model must verify.
+        let sweep = SweepSpec::new(0, 400, 100);
+        for profile in all_measured_clients() {
+            assert!(!profile.he.use_quic, "{} races QUIC", profile.id());
+            for delayed in [DelayedRecord::Aaaa, DelayedRecord::A] {
+                let verify: Vec<(u64, u64)> = verify_endpoints(&sweep.values())
+                    .into_iter()
+                    .map(|d| (d, derive_case_seed(7, RD_SEED_TAG, d, 0)))
+                    .collect();
+                assert_eq!(verify[0].0, 0);
+                assert!(
+                    RdFastPath::calibrate(&profile, delayed, 7, &verify).is_some(),
+                    "{} {delayed:?}: RD model failed to verify",
+                    profile.id()
+                );
+            }
+        }
+    }
+
+    /// One differential cell: the model either refuses (the refusal is
+    /// logged for pinning) or matches full simulation byte for byte —
+    /// event streams by equality, samples by their exact `Debug`
+    /// rendering (which round-trips every `f64`).
+    fn check_cell(
+        refusals: &mut Vec<String>,
+        cell: String,
+        fast: Result<(String, HeLog), &'static str>,
+        simulate: impl FnOnce() -> (String, HeLog),
+    ) {
+        match fast {
+            Err(reason) => refusals.push(format!("{cell} {reason}")),
+            Ok((sample, log)) => {
+                let (sim_sample, sim_log) = simulate();
+                assert_eq!(log.events, sim_log.events, "{cell}: events");
+                assert_eq!(sample, sim_sample, "{cell}: sample");
+            }
+        }
+    }
+
+    #[test]
+    fn fast_path_refuses_or_matches_simulation_cell_by_cell() {
+        // Every measured client × {CAD, RD-AAAA, RD-A} × every delay
+        // 0..=400 ms, against unverified models: the analytic model alone
+        // must either refuse or reproduce full simulation exactly. The
+        // refusals are pinned; each is a same-instant tie the simulator
+        // breaks by scheduling order.
+        let mut refusals = Vec::new();
+        for profile in all_measured_clients() {
+            let id = profile.id();
+            let cad = CadFastPath::calibrate(&profile, 7, &[]).expect("non-QUIC calibrates");
+            let rd = [DelayedRecord::Aaaa, DelayedRecord::A].map(|delayed| {
+                let fp = RdFastPath::calibrate(&profile, delayed, 7, &[]);
+                (delayed, fp.expect("non-QUIC calibrates"))
+            });
+            for delay_ms in 0..=400 {
+                let seed = derive_case_seed(7, CAD_SEED_TAG, delay_ms, 0);
+                check_cell(
+                    &mut refusals,
+                    format!("{id} cad {delay_ms}"),
+                    cad.run_logged(delay_ms, 0)
+                        .map(|(s, log)| (format!("{s:?}"), log)),
+                    || {
+                        let (s, log) = run_cad_once_log(&profile, delay_ms, 0, seed);
+                        (format!("{s:?}"), log)
+                    },
+                );
+                for (delayed, fp) in &rd {
+                    let seed = derive_case_seed(7, RD_SEED_TAG, delay_ms, 0);
+                    check_cell(
+                        &mut refusals,
+                        format!("{id} rd-{delayed:?} {delay_ms}"),
+                        fp.run_logged(delay_ms, 0)
+                            .map(|(s, log)| (format!("{s:?}"), log)),
+                        || {
+                            let (s, log) = run_rd_once_log(&profile, *delayed, delay_ms, 0, seed);
+                            (format!("{s:?}"), log)
+                        },
+                    );
+                }
+            }
+        }
+        assert_eq!(refusals, PINNED_REFUSALS);
+    }
+
+    /// CAD: the IPv6 handshake completes exactly when the fixed CAD timer
+    /// fires (curl 200 ms, Firefox 250 ms, Chromium family 300 ms).
+    /// RD-AAAA: the delayed AAAA arrives exactly when the 50 ms
+    /// Resolution Delay expires (Safari family, HEv3-flag Chromium).
+    const PINNED_REFUSALS: &[&str] = &[
+        "curl-7.88.1 cad 200 tie",
+        "firefox-96.0 cad 250 tie",
+        "firefox-109.0 cad 250 tie",
+        "firefox-122.0 cad 250 tie",
+        "firefox-132.0 cad 250 tie",
+        "edge-90.0 cad 300 tie",
+        "edge-96.0 cad 300 tie",
+        "edge-108.0 cad 300 tie",
+        "edge-120.0 cad 300 tie",
+        "edge-130.0 cad 300 tie",
+        "chromium-130.0 cad 300 tie",
+        "chrome-88.0 cad 300 tie",
+        "chrome-96.0 cad 300 tie",
+        "chrome-108.0 cad 300 tie",
+        "chrome-120.0 cad 300 tie",
+        "chrome-130.0 cad 300 tie",
+        "safari-17.5 rd-Aaaa 50 tie",
+        "safari-17.6 rd-Aaaa 50 tie",
+        "safari-18.0.1 rd-Aaaa 50 tie",
+        "mobile-safari-17.5 rd-Aaaa 50 tie",
+        "mobile-safari-17.6 rd-Aaaa 50 tie",
+        "mobile-safari-18.1 rd-Aaaa 50 tie",
+        "chromium-(hev3-flag)-130.0 rd-Aaaa 50 tie",
+        "chromium-(hev3-flag)-130.0 cad 300 tie",
+    ];
 
     #[test]
     fn quic_profile_refuses_calibration() {
