@@ -152,6 +152,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut topo = resolver_topology(11, "abl");
                 topo.auth.blackhole("2001:db8:53::53".parse().unwrap());
+                topo.auth.set_capture(true);
                 let mut cfg = RecursiveConfig::new(topo.roots.clone());
                 cfg.policy = unbound().policy;
                 cfg.policy.v6_preference = lazyeye_resolver::V6Preference::Always;

@@ -86,7 +86,7 @@ pub fn fast_mode() -> bool {
 /// Each bench binary contributes one top-level section (`sim`,
 /// `campaign`, `fleet`) holding throughput numbers (`*_per_sec`,
 /// machine-dependent, informational) and a `counters` object (scheduler
-/// polls, timers, tasks for a fixed-seed smoke workload — deterministic
+/// polls, timers, tasks, events for a fixed-seed smoke workload — deterministic
 /// across machines and worker counts, pinned by the checked-in baseline
 /// and gated in CI by `bench_check`).
 pub mod bench_json {
@@ -139,7 +139,7 @@ pub mod bench_json {
 
     /// The scheduler-counter object for a section, read straight from
     /// the `lazyeye-obs` registry (`sim.*` metric names). The poll,
-    /// timer and task counters live in the virtual clock domain, so the
+    /// timer, task and event counters live in the virtual clock domain, so the
     /// values are deterministic for a fixed-seed workload; the slab-slot
     /// counters are wall-domain but still fixed at `--jobs 1`, which is
     /// how every bench emitter runs its pinned workload.
@@ -161,6 +161,10 @@ pub mod bench_json {
             (
                 "tasks_spawned",
                 Json::UInt(lazyeye_obs::counter("sim.tasks_spawned", Virtual).get()),
+            ),
+            (
+                "events_scheduled",
+                Json::UInt(lazyeye_obs::counter("sim.events_scheduled", Virtual).get()),
             ),
             (
                 "slots_allocated",

@@ -183,12 +183,22 @@ impl Host {
             .remove(&a);
     }
 
-    /// Enables/disables packet capture on this host (on by default).
+    /// Enables/disables packet capture on this host. Capture is off by
+    /// default: a host records Tx and Rx packets only once whoever reads
+    /// its [`Host::capture`] has armed it.
     pub fn set_capture(&self, on: bool) {
-        self.world.borrow_mut().hosts[self.idx].capture_on = on;
+        let mut w = self.world.borrow_mut();
+        w.hosts[self.idx].capture_on = on;
+        if on {
+            // A measurement run captures a few dozen records per host;
+            // pre-sizing skips the doubling reallocations on the packet
+            // path.
+            w.captures[self.idx].reserve(64);
+        }
     }
 
-    /// Snapshot of this host's packet capture.
+    /// Snapshot of this host's packet capture (empty unless
+    /// [`Host::set_capture`] armed it).
     pub fn capture(&self) -> Capture {
         Capture::new(self.world.borrow().captures[self.idx].clone())
     }

@@ -145,6 +145,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let (_net, server, client) = duplex();
         server.blackhole(addr::v6("2001:db8::1"));
+        client.set_capture(true);
         let client2 = client.clone();
         let err = sim.block_on(async move {
             client2
@@ -276,6 +277,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let (_net, server, client) = duplex();
         server.add_egress(NetemRule::family(Family::V6, Netem::delay_ms(400)));
+        client.set_capture(true);
         let client2 = client.clone();
         sim.block_on(async move {
             let _l = server.tcp_listen_any(80).unwrap();
@@ -522,5 +524,44 @@ mod tests {
         client.set_capture(true);
         client.clear_capture();
         assert!(client.capture().is_empty());
+    }
+
+    /// `(dir, kind)` of every record in a host's capture.
+    fn kinds(host: &Host) -> Vec<(Direction, &'static str)> {
+        host.capture()
+            .records()
+            .iter()
+            .map(|r| (r.dir, r.kind))
+            .collect()
+    }
+
+    #[test]
+    fn capture_is_opt_in_and_toggles_mid_run() {
+        let mut sim = Sim::new(1);
+        let (_net, server, client) = duplex();
+        client.set_capture(true);
+        let (c, s) = (client.clone(), server.clone());
+        let recorded = sim.block_on(async move {
+            let _l = s.tcp_listen_any(80).unwrap();
+            let _a = c.tcp_connect(sa("192.0.2.1", 80)).await.unwrap();
+            c.set_capture(false);
+            let _b = c.tcp_connect(sa("192.0.2.1", 80)).await.unwrap();
+            c.set_capture(true);
+            let _c = c.tcp_connect(sa("2001:db8::1", 80)).await.unwrap();
+            // Read before the streams drop and send their FINs.
+            kinds(&c)
+        });
+        // Never armed: nothing recorded in either direction.
+        assert!(server.capture().is_empty());
+        // Armed: Tx and Rx of the first and third handshakes only.
+        let handshake = [
+            (Direction::Tx, "SYN"),
+            (Direction::Rx, "SYN-ACK"),
+            (Direction::Tx, "ACK"),
+        ];
+        assert_eq!(recorded, [handshake, handshake].concat());
+        let cap = client.capture();
+        assert_eq!(cap.syn_times(Family::V4).len(), 1);
+        assert_eq!(cap.syn_times(Family::V6).len(), 1);
     }
 }

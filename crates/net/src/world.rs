@@ -1,8 +1,9 @@
 //! Shared simulation state: hosts, routing, packet transmission.
 //!
 //! Packet flow: `send_packet` applies capture + netem on the sender side,
-//! schedules one delivery task per surviving copy, and `deliver` dispatches
-//! to the UDP/TCP state machines on the destination host. Delivery order
+//! schedules one delivery event ([`lazyeye_sim::schedule_at`]: a timer
+//! wheel entry, no task) per surviving copy, and `deliver` dispatches to
+//! the UDP/TCP state machines on the destination host. Delivery order
 //! within a flow is preserved by a per-flow clamp (netem `reorder` lets a
 //! packet escape it), so the simulated network behaves like a FIFO link with
 //! configurable per-class delay — the same model `tc-netem` imposes.
@@ -12,7 +13,7 @@ use std::net::{IpAddr, SocketAddr};
 use std::rc::Rc;
 use std::time::Duration;
 
-use lazyeye_sim::{sleep_until, spawn_detached, with_rng, SimTime};
+use lazyeye_sim::{schedule_at, with_rng, SimTime};
 use rand::Rng;
 
 use crate::addr::Family;
@@ -68,7 +69,7 @@ impl HostState {
             next_ephemeral: 49152,
             closed_port_policy: ClosedPortPolicy::default(),
             blackholes: FxHashSet::default(),
-            capture_on: true,
+            capture_on: false,
         }
     }
 
@@ -120,9 +121,7 @@ impl World {
 
     pub fn add_host(&mut self, name: &str) -> usize {
         self.hosts.push(HostState::new(name.to_string()));
-        // A measurement run captures a few dozen records per host;
-        // pre-sizing skips the doubling reallocations on the packet path.
-        self.captures.push(Vec::with_capacity(64));
+        self.captures.push(Vec::new());
         self.hosts.len() - 1
     }
 
@@ -172,7 +171,7 @@ pub(crate) type WorldRc = Rc<RefCell<World>>;
 /// Transmits `pkt` from `from` through the fabric: captures, shapes,
 /// schedules delivery. Must be called from inside the simulation.
 pub(crate) fn send_packet(world: &WorldRc, from: usize, pkt: Packet) {
-    let mut deliveries: Vec<SimTime> = Vec::with_capacity(1);
+    let mut deliveries: [Option<SimTime>; 2] = [None; 2];
     {
         let mut w = world.borrow_mut();
         w.record(from, Direction::Tx, &pkt);
@@ -223,23 +222,19 @@ pub(crate) fn send_packet(world: &WorldRc, from: usize, pkt: Packet) {
         if dropped {
             w.dropped += 1;
         } else {
-            deliveries.push(at);
+            deliveries[0] = Some(at);
             if dup > 0.0 && with_rng(|r| r.gen::<f64>()) < dup {
-                deliveries.push(at + Duration::from_micros(1));
+                deliveries[1] = Some(at + Duration::from_micros(1));
             }
         }
     }
 
-    // Fire-and-forget delivery tasks: one per surviving copy, spawned on
-    // the no-JoinHandle fast path (these are the most frequent spawns in
-    // the whole simulator — several per measured packet).
-    for at in deliveries {
+    // One delivery event per surviving copy: the most frequent work item
+    // in the whole simulator, so it costs a wheel entry, not a task.
+    for at in deliveries.into_iter().flatten() {
         let world = Rc::clone(world);
         let pkt = pkt.clone();
-        spawn_detached(async move {
-            sleep_until(at).await;
-            deliver(&world, pkt);
-        });
+        schedule_at(at, move || deliver(&world, pkt));
     }
 }
 

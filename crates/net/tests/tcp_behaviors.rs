@@ -143,6 +143,7 @@ fn capture_sees_both_directions_with_payload_sizes() {
     let net = Network::new();
     let server = net.host("s").v4("192.0.2.1").build();
     let client = net.host("c").v4("192.0.2.9").build();
+    client.set_capture(true);
     sim.block_on({
         let server = server.clone();
         let client = client.clone();

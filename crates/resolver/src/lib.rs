@@ -122,6 +122,10 @@ mod tests {
         });
 
         let _ = auth_server;
+        // The tests read all three vantage points' captures.
+        for host in [&root, &auth, &resolver_host] {
+            host.set_capture(true);
+        }
         Bed {
             sim,
             root,

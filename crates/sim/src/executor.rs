@@ -11,15 +11,26 @@
 //!   no hashing, and stale-generation wakes are dropped at the door (they
 //!   were provable no-ops in the old executor too).
 //! * **Timers** — a hierarchical timer wheel ([`crate::wheel`]) stores
-//!   24-byte `(deadline, seq, TaskId)` records. The old binary heap cloned
-//!   a `Waker` (an `Arc` bump + 16 bytes) per armed timer; the wheel wakes
-//!   tasks by id through the one pooled waker allocated per *task* at
-//!   spawn.
+//!   `(deadline, seq, target)` records, where the target is a task id or
+//!   an event id. The old binary heap cloned a `Waker` (an `Arc` bump +
+//!   16 bytes) per armed timer; the wheel wakes tasks by id. Each task's
+//!   `Waker` is built once at spawn and lent to every poll.
+//! * **Events** — [`SimHandle::schedule_at`] runs a plain `FnOnce` at a
+//!   virtual instant: no boxed future, no waker, no slab slot, no poll.
+//!   It replaces the `spawn(async { sleep_until(at).await; f() })` task
+//!   (the simulator's packet deliveries) step for step. The event takes
+//!   the task's place in the ready queue to *arm* its wheel entry, so the
+//!   entry gets the `(deadline, seq)` the task's first poll would have
+//!   registered. When the wheel pops it, it *fires* at once: the wheel only
+//!   pops with the ready queue empty, so the woken task's second poll
+//!   would have run next too. The schedule is the task form's, tick for
+//!   tick.
 //! * **Lock split** — only the waker-reachable [`WakeQueue`] stays behind
-//!   `Arc<parking_lot::Mutex>` (the `Waker` contract demands `Send +
-//!   Sync`). The clock, RNG, slab and wheel live in a driving-thread-only
+//!   `Arc<std::sync::Mutex>` (the `Waker` contract demands `Send + Sync`).
+//!   The clock, RNG, slab, events and wheel live in a driving-thread-only
 //!   `Rc<RefCell<ExecCore>>`, so `now()`/`with_rng`/timer arming stop
-//!   paying lock + `Arc` traffic.
+//!   paying lock + `Arc` traffic; the free functions borrow the
+//!   thread-local handle instead of cloning it.
 //! * **Arena reuse** — [`Sim::reset`] returns a simulation to its freshly
 //!   seeded state while keeping every allocation (slab, wheel slots, ready
 //!   queue); [`SimPool`]/[`pooled`] recycle whole `Sim`s per worker thread
@@ -37,11 +48,10 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -90,6 +100,7 @@ struct SimMetrics {
     timers_fired: &'static lazyeye_obs::Counter,
     timers_armed: &'static lazyeye_obs::Counter,
     tasks_spawned: &'static lazyeye_obs::Counter,
+    events_scheduled: &'static lazyeye_obs::Counter,
     slots_allocated: &'static lazyeye_obs::Counter,
     slots_reused: &'static lazyeye_obs::Counter,
     sims_created: &'static lazyeye_obs::Counter,
@@ -106,6 +117,7 @@ fn metrics() -> &'static SimMetrics {
         timers_fired: lazyeye_obs::counter("sim.timers_fired", Virtual),
         timers_armed: lazyeye_obs::counter("sim.timers_armed", Virtual),
         tasks_spawned: lazyeye_obs::counter("sim.tasks_spawned", Virtual),
+        events_scheduled: lazyeye_obs::counter("sim.events_scheduled", Virtual),
         slots_allocated: lazyeye_obs::counter("sim.slots_allocated", Wall),
         slots_reused: lazyeye_obs::counter("sim.slots_reused", Wall),
         sims_created: lazyeye_obs::counter("sim.sims_created", Wall),
@@ -115,7 +127,7 @@ fn metrics() -> &'static SimMetrics {
 }
 
 /// Per-run trace budget: at most this many instant events (timer fires,
-/// task spawns) are recorded on a sampled run's virtual track.
+/// task spawns, event schedules) are recorded on a sampled run's virtual track.
 const RUN_TRACE_EVENT_CAP: u32 = 512;
 
 /// Process-wide scheduler counters, aggregated across every [`Sim`] as it
@@ -136,6 +148,8 @@ pub struct SimStats {
     pub timers_armed: u64,
     /// Tasks spawned.
     pub tasks_spawned: u64,
+    /// Events scheduled with [`SimHandle::schedule_at`].
+    pub events_scheduled: u64,
     /// Fresh slab slots allocated (each costs one waker + slot alloc).
     pub slots_allocated: u64,
     /// Slab slots recycled through the free list (alloc-free spawns).
@@ -156,6 +170,7 @@ pub fn sim_stats() -> SimStats {
         timers_fired: m.timers_fired.get(),
         timers_armed: m.timers_armed.get(),
         tasks_spawned: m.tasks_spawned.get(),
+        events_scheduled: m.events_scheduled.get(),
         slots_allocated: m.slots_allocated.get(),
         slots_reused: m.slots_reused.get(),
         sims_created: m.sims_created.get(),
@@ -170,6 +185,7 @@ pub fn reset_sim_stats() {
     m.timers_fired.reset();
     m.timers_armed.reset();
     m.tasks_spawned.reset();
+    m.events_scheduled.reset();
     m.slots_allocated.reset();
     m.slots_reused.reset();
     m.sims_created.reset();
@@ -181,10 +197,18 @@ pub fn reset_sim_stats() {
 // Waker-reachable side: the wake queue
 // ---------------------------------------------------------------------------
 
+/// What a ready-queue step or a wheel entry names: a task to poll, or a
+/// scheduled event (queued to arm its wheel entry, popped to fire).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Target {
+    Task(TaskId),
+    Event(u32),
+}
+
 /// The only scheduler state wakers can reach. Everything else lives in
 /// [`ExecCore`] behind a driving-thread-only `RefCell`.
 struct WakeQueue {
-    ready: std::collections::VecDeque<TaskId>,
+    ready: std::collections::VecDeque<Target>,
     /// Per-slot dedup tag: `generation + 1` of the queued id, 0 = none.
     /// The tag only ratchets upward, so a stale (older-generation) wake
     /// arriving while a newer task occupies the slot is dropped — it was
@@ -205,16 +229,24 @@ impl WakeQueue {
             return;
         }
         self.queued[slot] = tag;
-        self.ready.push_back(id);
+        self.ready.push_back(Target::Task(id));
     }
 
-    fn pop(&mut self) -> Option<TaskId> {
-        let id = self.ready.pop_front()?;
-        let slot = id.slot();
-        if self.queued[slot] == u64::from(id.generation()) + 1 {
-            self.queued[slot] = 0;
+    /// Queues an event's arm step. An event is queued once, when it is
+    /// scheduled, so it needs no dedup.
+    fn enqueue_event(&mut self, event: u32) {
+        self.ready.push_back(Target::Event(event));
+    }
+
+    fn pop(&mut self) -> Option<Target> {
+        let target = self.ready.pop_front()?;
+        if let Target::Task(id) = target {
+            let slot = id.slot();
+            if self.queued[slot] == u64::from(id.generation()) + 1 {
+                self.queued[slot] = 0;
+            }
         }
-        Some(id)
+        Some(target)
     }
 
     fn clear(&mut self) {
@@ -224,6 +256,13 @@ impl WakeQueue {
 }
 
 type SharedWake = Arc<Mutex<WakeQueue>>;
+
+/// Locks the wake queue. No foreign code runs under this lock, so it can
+/// only be poisoned by a bug inside [`WakeQueue`] itself.
+fn lock(wake: &Mutex<WakeQueue>) -> MutexGuard<'_, WakeQueue> {
+    wake.lock()
+        .expect("wake queue poisoned by a panic inside WakeQueue")
+}
 
 /// Waker implementation: waking re-queues the task on its wake queue. One
 /// of these is allocated per *task* at spawn; timers don't touch it at
@@ -241,7 +280,7 @@ impl TaskWaker {
     fn abort(&self) {
         self.abort.store(true, Ordering::Relaxed);
         if let Some(wake) = self.wake.upgrade() {
-            wake.lock().enqueue(self.id);
+            lock(&wake).enqueue(self.id);
         }
     }
 }
@@ -252,7 +291,7 @@ impl Wake for TaskWaker {
     }
     fn wake_by_ref(self: &Arc<Self>) {
         if let Some(wake) = self.wake.upgrade() {
-            wake.lock().enqueue(self.id);
+            lock(&wake).enqueue(self.id);
         }
     }
 }
@@ -263,9 +302,11 @@ impl Wake for TaskWaker {
 
 struct TaskEntry {
     fut: BoxFuture,
-    /// The task's pooled waker (id + wake queue + abort flag): cloned (an
-    /// `Arc` bump, no allocation) by every primitive that parks this task.
+    /// The task's pooled waker state (id + wake queue + abort flag).
     tw: Arc<TaskWaker>,
+    /// `tw` as a `Waker`, built once at spawn and lent to every poll;
+    /// primitives that park the task clone it (an `Arc` bump).
+    waker: Waker,
 }
 
 enum SlotState {
@@ -380,12 +421,68 @@ impl Slab {
     }
 }
 
-/// The driving-thread scheduler core: clock, RNG, timers, tasks,
+/// A callback scheduled with [`SimHandle::schedule_at`].
+struct Event {
+    at: SimTime,
+    fire: Box<dyn FnOnce()>,
+}
+
+/// Free-list store of pending events, indexed by [`Target::Event`] ids.
+/// An id is named by exactly one queued arm step or wheel entry at a
+/// time and retired by its fire, so ids need no generation.
+#[derive(Default)]
+struct Events {
+    slots: Vec<Option<Event>>,
+    free: Vec<u32>,
+}
+
+impl Events {
+    fn insert(&mut self, event: Event) -> u32 {
+        if let Some(id) = self.free.pop() {
+            self.slots[id as usize] = Some(event);
+            id
+        } else {
+            let id = u32::try_from(self.slots.len()).expect("event store exceeds u32 slots");
+            self.slots.push(Some(event));
+            id
+        }
+    }
+
+    fn at(&self, id: u32) -> SimTime {
+        self.slots[id as usize]
+            .as_ref()
+            .expect("a queued arm step names a pending event")
+            .at
+    }
+
+    fn take(&mut self, id: u32) -> Event {
+        self.free.push(id);
+        self.slots[id as usize]
+            .take()
+            .expect("a wheel entry names a pending event")
+    }
+
+    /// Pulls every pending event out, for cancellation drops during
+    /// [`Sim::reset`]. Keeps all allocations.
+    fn drain(&mut self) -> Vec<Event> {
+        let mut out = Vec::new();
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if let Some(event) = slot.take() {
+                self.free.push(i as u32);
+                out.push(event);
+            }
+        }
+        out
+    }
+}
+
+/// The driving-thread scheduler core: clock, RNG, timers, tasks, events,
 /// counters. Wakers never touch this, so it needs no lock.
 pub(crate) struct ExecCore {
     now: SimTime,
     timers: TimerWheel,
     slab: Slab,
+    events: Events,
     /// The task currently being polled (timer registration target).
     current_task: Option<TaskId>,
     pub(crate) rng: SmallRng,
@@ -395,6 +492,7 @@ pub(crate) struct ExecCore {
     timers_fired: u64,
     timers_armed: u64,
     tasks_spawned: u64,
+    events_scheduled: u64,
     slots_allocated: u64,
     slots_reused: u64,
     /// Virtual-time timeline track claimed for this run when `--timeline`
@@ -414,6 +512,7 @@ impl ExecCore {
         m.timers_fired.add(self.timers_fired);
         m.timers_armed.add(self.timers_armed);
         m.tasks_spawned.add(self.tasks_spawned);
+        m.events_scheduled.add(self.events_scheduled);
         m.slots_allocated.add(self.slots_allocated);
         m.slots_reused.add(self.slots_reused);
         if self.polls > 0 {
@@ -433,6 +532,7 @@ impl ExecCore {
         self.timers_fired = 0;
         self.timers_armed = 0;
         self.tasks_spawned = 0;
+        self.events_scheduled = 0;
         self.slots_allocated = 0;
         self.slots_reused = 0;
     }
@@ -468,11 +568,22 @@ thread_local! {
 /// Panics when called outside of a running simulation (i.e. not from within
 /// a task and not inside [`Sim::enter`]).
 pub fn current() -> SimHandle {
+    with_current(SimHandle::clone)
+}
+
+/// Runs `f` on a borrow of the current simulation's handle: the hot-path
+/// form of [`current`], without its `Rc` and `Arc` clone. `f` must not
+/// enter or leave a simulation context.
+///
+/// # Panics
+/// Panics when called outside of a running simulation.
+pub(crate) fn with_current<T>(f: impl FnOnce(&SimHandle) -> T) -> T {
     CURRENT.with(|c| {
-        c.borrow()
+        let stack = c.borrow();
+        let handle = stack
             .last()
-            .cloned()
-            .expect("not inside a Sim context: call from within Sim::run/block_on or Sim::enter")
+            .expect("not inside a Sim context: call from within Sim::run/block_on or Sim::enter");
+        f(handle)
     })
 }
 
@@ -541,12 +652,14 @@ impl Sim {
             now: SimTime::ZERO,
             timers: TimerWheel::new(),
             slab: Slab::new(),
+            events: Events::default(),
             current_task: None,
             rng: SmallRng::seed_from_u64(seed),
             polls: 0,
             timers_fired: 0,
             timers_armed: 0,
             tasks_spawned: 0,
+            events_scheduled: 0,
             slots_allocated: 0,
             slots_reused: 0,
             trace_track: lazyeye_obs::trace::claim_virtual_track(),
@@ -568,20 +681,26 @@ impl Sim {
     /// reset `Sim` is observably indistinguishable from `Sim::new(seed)`;
     /// the per-sim counters flush into [`sim_stats`] first.
     ///
-    /// Live tasks are cancelled by dropping their futures (inside the sim
-    /// context, so graceful-close drop paths still work); anything those
-    /// drops spawn or wake is discarded with them.
+    /// Live tasks are cancelled by dropping their futures, and pending
+    /// events by dropping their callbacks (inside the sim context, so
+    /// graceful-close drop paths still work); anything those drops spawn,
+    /// schedule or wake is discarded with them.
     pub fn reset(&mut self, seed: u64) {
         metrics().sims_reset.inc();
         {
-            // Drops may re-entrantly spawn/wake; iterate until quiet.
+            // Drops may re-entrantly spawn/schedule/wake; iterate until
+            // quiet.
             let _g = enter(self.handle.clone());
             loop {
-                let entries = self.handle.core.borrow_mut().slab.drain_entries();
-                if entries.is_empty() {
+                let (entries, events) = {
+                    let mut core = self.handle.core.borrow_mut();
+                    (core.slab.drain_entries(), core.events.drain())
+                };
+                if entries.is_empty() && events.is_empty() {
                     break;
                 }
                 drop(entries);
+                drop(events);
             }
         }
         let mut core = self.handle.core.borrow_mut();
@@ -593,7 +712,7 @@ impl Sim {
         core.trace_track = lazyeye_obs::trace::claim_virtual_track();
         core.trace_events_left = RUN_TRACE_EVENT_CAP;
         drop(core);
-        self.handle.wake.lock().clear();
+        lock(&self.handle.wake).clear();
     }
 
     /// The handle used by spawned tasks; also usable directly.
@@ -692,11 +811,15 @@ impl Sim {
             }
         }
         loop {
-            // Drain every task that is ready at the current instant.
+            // Drain every task and event step that is ready at the
+            // current instant.
             loop {
-                let next = self.handle.wake.lock().pop();
-                let Some(id) = next else { break };
-                self.poll_task(id);
+                let next = lock(&self.handle.wake).pop();
+                let Some(target) = next else { break };
+                match target {
+                    Target::Task(id) => self.poll_task(id),
+                    Target::Event(event) => self.arm_event(event),
+                }
                 if let Some(stop) = stop_when {
                     if stop() {
                         return RunOutcome::Interrupted;
@@ -714,13 +837,25 @@ impl Sim {
                     core.now = core.now.max(at);
                     core.timers_fired += 1;
                     core.trace_instant("timer.fire");
-                    // A stale id (its task finished) is dropped here — the
-                    // old executor enqueued the dead id and skipped it at
-                    // poll time, which was observably identical.
-                    let alive = core.slab.is_live(entry.task);
-                    drop(core);
-                    if alive {
-                        self.handle.wake.lock().enqueue(entry.task);
+                    match entry.target {
+                        Target::Task(id) => {
+                            // A stale id (its task finished) is dropped
+                            // here — the old executor enqueued the dead id
+                            // and skipped it at poll time, which was
+                            // observably identical.
+                            let alive = core.slab.is_live(id);
+                            drop(core);
+                            if alive {
+                                lock(&self.handle.wake).enqueue(id);
+                            }
+                        }
+                        Target::Event(event) => {
+                            let event = core.events.take(event);
+                            drop(core);
+                            // Outside the core borrow: the callback
+                            // spawns, schedules and wakes freely.
+                            (event.fire)();
+                        }
                     }
                 }
                 crate::wheel::PopOutcome::Beyond => {
@@ -755,8 +890,7 @@ impl Sim {
         core.current_task = Some(id);
         drop(core);
         let poll = {
-            let waker = Waker::from(Arc::clone(&entry.tw));
-            let mut cx = Context::from_waker(&waker);
+            let mut cx = Context::from_waker(&entry.waker);
             entry.fut.as_mut().poll(&mut cx)
         };
         let mut core = self.handle.core.borrow_mut();
@@ -770,6 +904,16 @@ impl Sim {
             // may spawn or wake re-entrantly.
             drop(entry);
         }
+    }
+
+    /// An event's arm step: registers its wheel entry, taking the
+    /// `(deadline, seq)` place the replaced task's first poll (`Sleep`
+    /// registering) took.
+    fn arm_event(&self, id: u32) {
+        let mut core = self.handle.core.borrow_mut();
+        let at = core.events.at(id).max(core.now);
+        core.timers_armed += 1;
+        core.timers.insert(at.as_nanos(), Target::Event(id));
     }
 }
 
@@ -820,8 +964,8 @@ impl SimHandle {
     /// Spawns a fire-and-forget task: no [`JoinHandle`], no result
     /// storage, no wrapper future — just the boxed future and its pooled
     /// waker. The cheap path for the simulator's own plumbing tasks
-    /// (packet deliveries, server accept loops), which spawn by the
-    /// hundred per measurement run and never get awaited.
+    /// (server loops), which are never awaited. A callback that only
+    /// waits for an instant is cheaper still as [`SimHandle::schedule_at`].
     pub fn spawn_detached<F>(&self, fut: F)
     where
         F: Future<Output = ()> + 'static,
@@ -834,15 +978,16 @@ impl SimHandle {
     fn insert_task(&self, fut: BoxFuture) -> Arc<TaskWaker> {
         let mut core = self.core.borrow_mut();
         let wake = Arc::downgrade(&self.wake);
-        let mut waker = None;
+        let mut handle = None;
         let (id, reused) = core.slab.alloc(|id| {
             let tw = Arc::new(TaskWaker {
                 id,
                 wake,
                 abort: AtomicBool::new(false),
             });
-            waker = Some(Arc::clone(&tw));
-            TaskEntry { fut, tw }
+            handle = Some(Arc::clone(&tw));
+            let waker = Waker::from(Arc::clone(&tw));
+            TaskEntry { fut, tw, waker }
         });
         core.tasks_spawned += 1;
         core.trace_instant("task.spawn");
@@ -853,8 +998,26 @@ impl SimHandle {
         }
         drop(core);
         // Immediately runnable.
-        self.wake.lock().enqueue(id);
-        waker.expect("alloc ran the constructor")
+        lock(&self.wake).enqueue(id);
+        handle.expect("alloc ran the constructor")
+    }
+
+    /// Schedules `f` to run at virtual instant `at` (clamped to the
+    /// instant its arm step runs). The cheap path for the simulator's
+    /// packet deliveries: it costs one wheel entry and no task, and runs
+    /// in exactly the order `spawn_detached(async { sleep_until(at).await;
+    /// f() })` would — see the module docs. `f` runs outside any task, so
+    /// it may not arm timers itself.
+    pub fn schedule_at(&self, at: SimTime, f: impl FnOnce() + 'static) {
+        let mut core = self.core.borrow_mut();
+        let id = core.events.insert(Event {
+            at,
+            fire: Box::new(f),
+        });
+        core.events_scheduled += 1;
+        core.trace_instant("event.schedule");
+        drop(core);
+        lock(&self.wake).enqueue_event(id);
     }
 
     /// Registers a timer waking the *currently polled task* at instant
@@ -872,7 +1035,7 @@ impl SimHandle {
             .expect("timers can only be armed from within a polled task");
         let at = at.max(core.now);
         core.timers_armed += 1;
-        core.timers.insert(at.as_nanos(), task)
+        core.timers.insert(at.as_nanos(), Target::Task(task))
     }
 }
 
@@ -1046,7 +1209,7 @@ where
     F: Future + 'static,
     F::Output: 'static,
 {
-    current().spawn(fut)
+    with_current(|h| h.spawn(fut))
 }
 
 /// Spawns a fire-and-forget task onto the current simulation — the cheap
@@ -1056,19 +1219,23 @@ pub fn spawn_detached<F>(fut: F)
 where
     F: Future<Output = ()> + 'static,
 {
-    current().spawn_detached(fut)
+    with_current(|h| h.spawn_detached(fut))
+}
+
+/// Runs `f` at virtual instant `at` on the current simulation. See
+/// [`SimHandle::schedule_at`].
+pub fn schedule_at(at: SimTime, f: impl FnOnce() + 'static) {
+    with_current(|h| h.schedule_at(at, f))
 }
 
 /// Current virtual time of the running simulation.
 pub fn now() -> SimTime {
-    current().now()
+    with_current(SimHandle::now)
 }
 
 /// Runs `f` with mutable access to the simulation's deterministic RNG.
 pub fn with_rng<T>(f: impl FnOnce(&mut SmallRng) -> T) -> T {
-    let handle = current();
-    let mut core = handle.core.borrow_mut();
-    f(&mut core.rng)
+    with_current(|h| f(&mut h.core.borrow_mut().rng))
 }
 
 #[cfg(test)]
@@ -1395,6 +1562,163 @@ mod tests {
             assert_eq!(now(), SimTime::ZERO);
             let _h = spawn(async {});
         });
+    }
+
+    type Log = std::rc::Rc<RefCell<Vec<(u64, String)>>>;
+
+    /// Runs `f` at `at` as an event, or as the task form events replace.
+    fn run_at(events: bool, at: SimTime, f: impl FnOnce() + 'static) {
+        if events {
+            schedule_at(at, f);
+        } else {
+            spawn_detached(async move {
+                crate::timer::sleep_until(at).await;
+                f();
+            });
+        }
+    }
+
+    fn note(log: &Log, what: String) {
+        log.borrow_mut().push((now().as_nanos(), what));
+    }
+
+    /// One node of a seeded tree of work: logs itself, then fans out into
+    /// events (or their task form) and sleeping tasks at 0–2 ms from now,
+    /// so that same-instant ties are everywhere.
+    fn node(events: bool, log: Log, name: String, depth: u32) {
+        note(&log, name.clone());
+        if depth == 0 {
+            return;
+        }
+        for i in 0..with_rng(|r| rand::Rng::gen_range(r, 1..4u32)) {
+            let child = format!("{name}.{i}");
+            let ms = with_rng(|r| rand::Rng::gen_range(r, 0..3u64));
+            let at = now() + Duration::from_millis(ms);
+            let log = log.clone();
+            if with_rng(|r| rand::Rng::gen_bool(r, 0.5)) {
+                run_at(events, at, move || node(events, log, child, depth - 1));
+            } else {
+                spawn(async move {
+                    sleep(Duration::from_millis(ms)).await;
+                    note(&log, format!("{child}/task"));
+                    node(events, log, child, depth - 1);
+                });
+            }
+        }
+    }
+
+    /// Runs the seeded tree to quiescence on `sim`: the log, the final
+    /// clock, and the wheel traffic.
+    fn tree(sim: &mut Sim, events: bool, seed: u64) -> (Vec<(u64, String)>, SimTime, u64) {
+        let log: Log = Default::default();
+        let l = log.clone();
+        sim.enter(|| {
+            with_rng(|r| *r = SmallRng::seed_from_u64(seed));
+            node(events, l, "root".into(), 4);
+        });
+        assert_eq!(sim.run(), RunOutcome::Quiescent { pending_tasks: 0 });
+        let out = log.borrow().clone();
+        (out, sim.now(), sim.timers_fired())
+    }
+
+    #[test]
+    fn schedule_at_runs_in_the_order_of_the_task_it_replaces() {
+        for seed in 0..40 {
+            let events = tree(&mut Sim::new(1), true, seed);
+            let tasks = tree(&mut Sim::new(1), false, seed);
+            assert_eq!(events, tasks, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn schedule_at_arms_at_its_ready_queue_turn() {
+        // A, the event and B all target 10 ms. A's and B's timers are
+        // armed at their first polls; the event's at its arm step, which
+        // sits between them in the ready queue. The wheel fires same-
+        // instant entries in arming order, so the event runs between A
+        // and B — had it armed when scheduled, it would run first.
+        let mut sim = Sim::new(1);
+        let log: Log = Default::default();
+        let at = SimTime::from_millis(10);
+        sim.enter(|| {
+            let l = log.clone();
+            spawn(async move {
+                crate::timer::sleep_until(at).await;
+                note(&l, "A".into());
+            });
+            let l = log.clone();
+            schedule_at(at, move || {
+                note(&l, "event".into());
+                // Scheduled from inside an event, at its own instant: it
+                // arms before B runs, so it fires ahead of C, whose timer
+                // B arms later.
+                let l2 = l.clone();
+                schedule_at(now(), move || note(&l2, "nested".into()));
+            });
+            let l = log.clone();
+            spawn(async move {
+                crate::timer::sleep_until(at).await;
+                note(&l, "B".into());
+                crate::timer::sleep_until(at).await;
+                note(&l, "C".into());
+            });
+        });
+        sim.run();
+        let names: Vec<String> = log.borrow().iter().map(|(_, n)| n.clone()).collect();
+        assert_eq!(names, ["A", "event", "B", "nested", "C"]);
+        assert!(log.borrow().iter().all(|(t, _)| *t == at.as_nanos()));
+        // A polls twice and B three times; events never poll.
+        assert_eq!(sim.poll_count(), 2 + 3);
+    }
+
+    /// Notes, for each drop, whether a sim context was installed.
+    struct DropProbe(std::rc::Rc<RefCell<Vec<bool>>>);
+
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            self.0.borrow_mut().push(has_current());
+        }
+    }
+
+    /// Leaves one armed and one unarmed event pending on `sim`.
+    fn leave_pending_events(sim: &mut Sim, drops: &std::rc::Rc<RefCell<Vec<bool>>>) {
+        let armed = DropProbe(drops.clone());
+        sim.enter(|| {
+            schedule_at(SimTime::from_secs(100), move || {
+                drop(armed);
+                panic!("a reset must drop pending events");
+            })
+        });
+        sim.run_until(SimTime::from_secs(1));
+        let unarmed = DropProbe(drops.clone());
+        sim.enter(|| {
+            schedule_at(SimTime::from_secs(2), move || {
+                drop(unarmed);
+                panic!("a reset must drop pending events");
+            })
+        });
+    }
+
+    #[test]
+    fn reset_and_pooled_sims_drop_pending_events() {
+        let fresh = tree(&mut Sim::new(7), true, 3);
+        // Every pending event is dropped, inside the sim context.
+        let drops = std::rc::Rc::default();
+
+        let mut sim = Sim::new(7);
+        leave_pending_events(&mut sim, &drops);
+        sim.reset(7);
+        assert_eq!(*drops.borrow(), [true, true]);
+        assert_eq!(tree(&mut sim, true, 3), fresh, "reset != Sim::new(seed)");
+
+        let pool = SimPool::new();
+        leave_pending_events(&mut pool.acquire(7), &drops);
+        assert_eq!(
+            tree(&mut pool.acquire(7), true, 3),
+            fresh,
+            "pooled != Sim::new(seed)"
+        );
+        assert_eq!(*drops.borrow(), [true; 4]);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::pin::Pin;
 use std::task::{Context, Poll};
 use std::time::Duration;
 
-use crate::executor::current;
+use crate::executor::{now, with_current};
 use crate::time::SimTime;
 
 /// Future returned by [`sleep`] / [`sleep_until`].
@@ -25,33 +25,34 @@ impl Future for Sleep {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        let handle = current();
-        if self.registered {
-            // Even an already-expired sleep yields to the scheduler once:
-            // a zero-duration sleep is the deterministic yield point, and
-            // every other task ready at this instant runs before we
-            // resume. The wheel entry armed on the first poll targets the
-            // owning task and fires exactly at the (clamped) deadline, so
-            // re-polls before then (spurious wakes, race siblings) arm
-            // nothing — the old executor pushed a duplicate heap entry
-            // per re-poll, whose only effect was a deduped no-op wake,
-            // and whose cost compounded exponentially under `join_all`.
-            return if handle.now() >= self.deadline {
-                Poll::Ready(())
-            } else {
-                Poll::Pending
-            };
-        }
-        handle.register_timer(self.deadline);
-        self.registered = true;
-        Poll::Pending
+        with_current(|handle| {
+            if self.registered {
+                // Even an already-expired sleep yields to the scheduler once:
+                // a zero-duration sleep is the deterministic yield point, and
+                // every other task ready at this instant runs before we
+                // resume. The wheel entry armed on the first poll targets the
+                // owning task and fires exactly at the (clamped) deadline, so
+                // re-polls before then (spurious wakes, race siblings) arm
+                // nothing — the old executor pushed a duplicate heap entry
+                // per re-poll, whose only effect was a deduped no-op wake,
+                // and whose cost compounded exponentially under `join_all`.
+                return if handle.now() >= self.deadline {
+                    Poll::Ready(())
+                } else {
+                    Poll::Pending
+                };
+            }
+            handle.register_timer(self.deadline);
+            self.registered = true;
+            Poll::Pending
+        })
     }
 }
 
 /// Sleeps for `d` of virtual time. A zero-duration sleep still yields to the
 /// scheduler once, making it a deterministic yield point.
 pub fn sleep(d: Duration) -> Sleep {
-    let deadline = current().now() + d;
+    let deadline = now() + d;
     Sleep {
         deadline,
         registered: false,
@@ -84,7 +85,7 @@ impl std::error::Error for Elapsed {}
 /// The deadline is `now() + d` at the moment `timeout` is *called* (not
 /// first polled), matching the historical eager-`sleep` construction.
 pub fn timeout<F: Future>(d: Duration, fut: F) -> impl Future<Output = Result<F::Output, Elapsed>> {
-    timeout_at(current().now() + d, fut)
+    timeout_at(now() + d, fut)
 }
 
 /// Awaits `fut` until the given instant; see [`timeout`].
@@ -130,7 +131,7 @@ pub async fn yield_now() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{now, spawn, Sim};
+    use crate::executor::{spawn, Sim};
 
     #[test]
     fn sleep_zero_yields_once() {

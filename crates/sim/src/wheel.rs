@@ -1,7 +1,7 @@
 //! A hierarchical timer wheel on virtual time.
 //!
 //! Replaces the old `BinaryHeap<TimerEntry>`-with-a-cloned-`Waker`-per-timer:
-//! entries are 24-byte `Copy` records (`at`, `seq`, [`TaskId`]) bucketed by
+//! entries are 32-byte `Copy` records (`at`, `seq`, [`Target`]) bucketed by
 //! deadline magnitude into [`LEVELS`] levels of 64 slots each. Level `l`
 //! spans `64^(l+1)` ticks of `2^20` ns (≈ 1.05 ms), so level 0 covers
 //! ≈ 67 ms, level 1 ≈ 4.3 s, … level 5 ≈ 2.3 years; anything further out
@@ -22,7 +22,7 @@
 //! sequence number — same-deadline timers fire in registration order,
 //! exactly like the old heap.
 
-use crate::executor::TaskId;
+use crate::executor::Target;
 
 /// log2 of the tick length in nanoseconds (2^20 ns ≈ 1.05 ms).
 const TICK_SHIFT: u32 = 20;
@@ -33,15 +33,15 @@ const LEVEL_BITS: u32 = 6;
 /// Number of wheel levels before the overflow list takes over.
 pub(crate) const LEVELS: usize = 6;
 
-/// One armed timer: wakes `task` once virtual time reaches `at` ns.
+/// One armed timer: steps `target` once virtual time reaches `at` ns.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) struct TimerEntry {
     /// Absolute deadline in nanoseconds.
     pub at: u64,
     /// Registration sequence number (same-instant FIFO order).
     pub seq: u64,
-    /// The task to wake.
-    pub task: TaskId,
+    /// The task to wake or the event to fire.
+    pub target: Target,
 }
 
 impl TimerEntry {
@@ -117,10 +117,10 @@ impl TimerWheel {
     /// Arms a timer at absolute nanosecond deadline `at` (the caller clamps
     /// `at` to `now` first, so no entry is ever in the past). Returns the
     /// registration sequence number.
-    pub fn insert(&mut self, at: u64, task: TaskId) -> u64 {
+    pub fn insert(&mut self, at: u64, target: Target) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        let entry = TimerEntry { at, seq, task };
+        let entry = TimerEntry { at, seq, target };
         self.place(entry);
         self.len += 1;
         seq
@@ -271,9 +271,10 @@ pub(crate) enum PopOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::TaskId;
 
-    fn task(n: u64) -> TaskId {
-        TaskId::pack(n as u32, 0)
+    fn task(n: u64) -> Target {
+        Target::Task(TaskId::pack(n as u32, 0))
     }
 
     /// Drains the wheel, asserting global (at, seq) order.

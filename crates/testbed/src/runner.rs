@@ -169,6 +169,8 @@ fn run_cad_once_impl(
     for rule in extra_netem {
         topo.server.add_egress(rule.clone());
     }
+    // The observed CAD is read from the client's capture.
+    topo.client.set_capture(true);
     let client = Client::new(profile.clone(), topo.client.clone(), vec![resolver_addr()]);
     let res = topo
         .sim
@@ -412,6 +414,8 @@ fn run_rd_once_impl(
     for rule in extra_netem {
         topo.server.add_egress(rule.clone());
     }
+    // The first connection attempt is read from the client's capture.
+    topo.client.set_capture(true);
     let params = lazyeye_authns::TestParams::delay(delay_ms, target, format!("r{rep}"));
     let qname = lazyeye_dns::Name::parse(&format!("{}.rd.test", params.to_label())).unwrap();
     let client = Client::new(profile.clone(), topo.client.clone(), vec![resolver_addr()]);
@@ -419,12 +423,11 @@ fn run_rd_once_impl(
         .sim
         .block_on(async move { client.connect_only(&qname, 80).await });
     let family = res.connection.as_ref().ok().map(|c| c.family());
-    let first_attempt_ms = topo
-        .client
-        .capture()
+    let capture = topo.client.capture();
+    let first_attempt_ms = capture
         .first_syn(Family::V6)
         .into_iter()
-        .chain(topo.client.capture().first_syn(Family::V4))
+        .chain(capture.first_syn(Family::V4))
         .min()
         .map(|t: SimTime| t.as_nanos() as f64 / 1e6);
     let trace = condition.map(|condition| {
@@ -715,6 +718,8 @@ fn run_resolver_once_impl(
     for rule in extra_netem {
         topo.auth.add_egress(rule.clone());
     }
+    // The server-side observation below reads the auth NS's capture.
+    topo.auth.set_capture(true);
     let mut rcfg = RecursiveConfig::new(topo.roots.clone());
     rcfg.policy = rprofile.policy.clone();
     let resolver = RecursiveResolver::new(topo.resolver_host.clone(), rcfg);

@@ -56,6 +56,8 @@ pub fn check_resolver(
         .v4("198.41.0.4")
         .v6("2001:503:ba3e::2:30")
         .build();
+    // The resolver's AAAA-vs-A order is read from the root's capture.
+    root.set_capture(true);
     // The IPv6-only authoritative server for the check zone.
     let v6ns = net.host("v6only-ns").v6("2001:db8:66::53").build();
     let resolver_host = match stack {

@@ -17,6 +17,9 @@ fn main() {
     // server side.
     topo.server
         .add_egress(NetemRule::family(Family::V6, Netem::delay_ms(400)));
+    // Capture is off by default; record the client's packets for the
+    // capture view below.
+    topo.client.set_capture(true);
 
     // A straight-from-RFC-8305 Happy Eyeballs client.
     let mut profile = lazy_eye_inspection::clients::figure2_clients()

@@ -538,10 +538,8 @@ struct Obs {
     timeline: Option<String>,
     metrics_out: Option<String>,
     flight_record: bool,
-    reporter: Option<(
-        std::sync::Arc<std::sync::atomic::AtomicBool>,
-        std::thread::JoinHandle<()>,
-    )>,
+    /// The `--progress` reporter thread and its stop channel.
+    reporter: Option<(std::sync::mpsc::Sender<()>, std::thread::JoinHandle<()>)>,
 }
 
 /// Virtual-time tracks exported per timeline: the first N runs each get
@@ -565,16 +563,13 @@ impl Obs {
         };
         let reporter = flags.contains("--progress").then(|| {
             lazy_eye_inspection::obs::progress::begin(0, jobs as u64);
-            let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let seen = std::sync::Arc::clone(&stop);
+            // A status line every 500 ms; `finish` sends stop, which
+            // wakes the wait at once instead of at the next tick.
+            let (stop, stopped) = std::sync::mpsc::channel::<()>();
             let handle = std::thread::spawn(move || {
-                let mut ticks = 0u32;
-                while !seen.load(std::sync::atomic::Ordering::Relaxed) {
-                    std::thread::sleep(std::time::Duration::from_millis(100));
-                    ticks += 1;
-                    if !ticks.is_multiple_of(5) {
-                        continue;
-                    }
+                while let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+                    stopped.recv_timeout(std::time::Duration::from_millis(500))
+                {
                     if let Some(snap) = lazy_eye_inspection::obs::progress::snapshot() {
                         eprintln!("[progress] {}", snap.status_line(unit));
                     }
@@ -599,8 +594,11 @@ impl Obs {
             eprintln!("[obs] flight recorder wrote {n} bundle(s)");
         }
         if let Some((stop, handle)) = self.reporter {
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-            let _ = handle.join();
+            // A failed send means the reporter has already returned.
+            let _ = stop.send(());
+            handle
+                .join()
+                .map_err(|_| "the progress reporter thread panicked".to_string())?;
             lazy_eye_inspection::obs::progress::end();
         }
         if let Some(path) = &self.timeline {
