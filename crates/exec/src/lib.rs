@@ -8,11 +8,15 @@
 //! whatever the worker count. This crate is that extracted common core:
 //!
 //! - [`execute_indexed`] / [`execute_indexed_with`] — a work-stealing
-//!   thread pool over jobs `0..total`. Jobs are striped across per-worker
-//!   deques up front; a worker drains its own deque from the front and,
-//!   when empty, steals the back half of the longest other deque. Results
-//!   are keyed by job index, so the output vector is independent of
-//!   scheduling.
+//!   pool of `jobs` threads in total over jobs `0..total`: the calling
+//!   thread is worker 0 and `jobs − 1` scoped threads are its peers, so
+//!   `--jobs 2` puts two threads on two cores, not three. Jobs are striped
+//!   across per-worker deques up front; a worker drains its own deque from
+//!   the front and, when empty, steals the back half of the longest other
+//!   deque. Between its own jobs the caller drains finished peer results
+//!   without blocking and runs the hooks on them; it parks on the result
+//!   channel only once it has no job left. Results are keyed by job
+//!   index, so the output vector is independent of scheduling.
 //! - [`Shard`] — the `--shard i/n` arithmetic (`index % n == i`) both
 //!   CLIs use for multi-machine splits, with its JSON mapping.
 //!
@@ -24,9 +28,12 @@
 //! the first run on a worker allocates a simulation arena (task slab,
 //! timer wheel, queues), and every subsequent run on that worker recycles
 //! it via `Sim::reset` — one allocation storm per *worker* instead of one
-//! per *run*. This file only needs to keep threads alive across jobs
-//! (which `std::thread::scope` does); the pooling itself lives in
-//! `lazyeye-sim` and the testbed topologies.
+//! per *run*. Worker 0 is the calling thread, so its `SimPool` also
+//! survives across calls: a campaign's refinement pass, or the next
+//! campaign in the same process, reuses the caller's arena, and only the
+//! `jobs − 1` spawned peers start cold. This file only needs to keep
+//! threads alive across jobs (which `std::thread::scope` does); the
+//! pooling itself lives in `lazyeye-sim` and the testbed topologies.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -189,7 +196,9 @@ fn steal(queues: &[WorkQueue], me: usize) -> Option<usize> {
 }
 
 /// Executes jobs `0..total` with `run(index)`, fanning out over `jobs`
-/// worker threads, and returns the outputs **in index order**.
+/// worker threads (the calling thread plus `jobs − 1` spawned ones), and
+/// returns the outputs **in index order**. A panicking job fails the
+/// call with that panic.
 ///
 /// `progress` is invoked on the calling thread after every finished job
 /// with `(finished_so_far, total)` — wire it to a progress bar or ETA
@@ -201,6 +210,29 @@ pub fn execute_indexed<O: Send>(
     progress: impl FnMut(usize, usize),
 ) -> Vec<O> {
     execute_indexed_with(total, jobs, run, progress, |_, _| {})
+}
+
+/// Restores the calling thread's worker tag when dropped, so a call that
+/// unwinds from a panicking job still hands back the caller's track.
+struct WorkerTag(u32);
+
+impl WorkerTag {
+    fn enter(worker: u32) -> WorkerTag {
+        let prev = lazyeye_obs::trace::worker();
+        lazyeye_obs::trace::set_worker(worker);
+        WorkerTag(prev)
+    }
+}
+
+impl Drop for WorkerTag {
+    fn drop(&mut self) {
+        lazyeye_obs::trace::set_worker(self.0);
+    }
+}
+
+/// Worker `me`'s next job: the front of its own deque, else a steal.
+fn next_job(queues: &[WorkQueue], me: usize) -> Option<usize> {
+    queues[me].pop_front().or_else(|| steal(queues, me))
 }
 
 /// [`execute_indexed`] with a per-result hook: `on_result(index, output)`
@@ -215,12 +247,11 @@ pub fn execute_indexed_with<O: Send>(
     mut on_result: impl FnMut(usize, &O),
 ) -> Vec<O> {
     let jobs = jobs.max(1).min(total.max(1));
+    // The caller thread IS worker 0 for the duration of the call, so
+    // spans and progress annotations attribute to its track.
+    let _tag = WorkerTag::enter(0);
     if jobs == 1 {
-        // The caller thread IS worker 0 for the duration of the loop, so
-        // spans and progress annotations attribute to its track.
-        let prev_worker = lazyeye_obs::trace::worker();
-        lazyeye_obs::trace::set_worker(0);
-        let out = (0..total)
+        return (0..total)
             .map(|index| {
                 let out = timed(0, || run(index));
                 on_result(index, &out);
@@ -228,8 +259,6 @@ pub fn execute_indexed_with<O: Send>(
                 out
             })
             .collect();
-        lazyeye_obs::trace::set_worker(prev_worker);
-        return out;
     }
 
     // Stripe jobs across workers so early indices start immediately on
@@ -237,11 +266,17 @@ pub fn execute_indexed_with<O: Send>(
     let queues: Vec<WorkQueue> = (0..jobs)
         .map(|w| WorkQueue::new((w..total).step_by(jobs).collect()))
         .collect();
+    // Take job 0 before any peer exists to steal it: it always runs on
+    // the caller.
+    let first = queues[0].pop_front();
 
     let mut results: Vec<Option<O>> = (0..total).map(|_| None).collect();
     let (tx, rx) = mpsc::channel::<(usize, O)>();
     std::thread::scope(|scope| {
-        for me in 0..jobs {
+        // Owned by this closure, so a panic on the caller drops the
+        // receiver and the peers stop at their next send.
+        let rx = rx;
+        for me in 1..jobs {
             let tx = tx.clone();
             let queues = &queues;
             let run = &run;
@@ -249,16 +284,7 @@ pub fn execute_indexed_with<O: Send>(
                 let me32 = u32::try_from(me).unwrap_or(u32::MAX - 1);
                 lazyeye_obs::trace::set_worker(me32);
                 let _worker_span = lazyeye_obs::trace::wall_span(format!("exec.worker-{me}"));
-                loop {
-                    let job = {
-                        match queues[me].pop_front() {
-                            Some(j) => j,
-                            None => match steal(queues, me) {
-                                Some(j) => j,
-                                None => break,
-                            },
-                        }
-                    };
+                while let Some(job) = next_job(queues, me) {
                     let out = timed(me32, || run(job));
                     if tx.send((job, out)).is_err() {
                         break;
@@ -268,11 +294,28 @@ pub fn execute_indexed_with<O: Send>(
         }
         drop(tx);
         let mut done = 0;
-        while let Ok((idx, out)) = rx.recv() {
+        let mut finish = |idx: usize, out: O| {
             on_result(idx, &out);
             results[idx] = Some(out);
             done += 1;
             progress(done, total);
+        };
+        {
+            let _worker_span = lazyeye_obs::trace::wall_span("exec.worker-0");
+            let mut job = first;
+            while let Some(idx) = job {
+                let out = timed(0, || run(idx));
+                finish(idx, out);
+                // Hand peers' finished jobs to the hooks without parking.
+                while let Ok((idx, out)) = rx.try_recv() {
+                    finish(idx, out);
+                }
+                job = next_job(&queues, 0);
+            }
+        }
+        // Out of work: wait for the peers' last jobs.
+        while let Ok((idx, out)) = rx.recv() {
+            finish(idx, out);
         }
     });
     results
@@ -345,6 +388,91 @@ mod tests {
         for (total, jobs) in [(9, 8), (9, 9), (3, 64), (100, 7)] {
             let out = execute_indexed(total, jobs, |i| i, |_, _| {});
             assert_eq!(out, (0..total).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn hooks_run_on_the_caller_and_jobs_on_at_most_jobs_threads() {
+        use std::collections::HashSet;
+        use std::thread::{self, ThreadId};
+        let caller = thread::current().id();
+        for jobs in [1, 2, 4] {
+            lazyeye_obs::trace::set_worker(77);
+            let ran_on: Mutex<Vec<(usize, ThreadId, u32)>> = Mutex::new(Vec::new());
+            let mut progress_threads = HashSet::new();
+            let mut result_threads = HashSet::new();
+            let out = execute_indexed_with(
+                64,
+                jobs,
+                |i| {
+                    let tag = lazyeye_obs::trace::worker();
+                    ran_on
+                        .lock()
+                        .unwrap()
+                        .push((i, thread::current().id(), tag));
+                    i
+                },
+                |_, _| {
+                    progress_threads.insert(thread::current().id());
+                },
+                |_, _| {
+                    result_threads.insert(thread::current().id());
+                },
+            );
+            assert_eq!(out, (0..64).collect::<Vec<_>>());
+            assert_eq!(progress_threads, HashSet::from([caller]), "jobs {jobs}");
+            assert_eq!(result_threads, HashSet::from([caller]), "jobs {jobs}");
+            let ran_on = ran_on.into_inner().unwrap();
+            let threads: HashSet<ThreadId> = ran_on.iter().map(|&(_, t, _)| t).collect();
+            assert!(
+                threads.len() <= jobs,
+                "jobs {jobs}: {} threads",
+                threads.len()
+            );
+            // Job 0 never leaves the caller's deque, so the caller is
+            // always one of the workers, and it runs as worker 0.
+            assert!(ran_on.contains(&(0, caller, 0)), "jobs {jobs}");
+            for &(i, thread, tag) in &ran_on {
+                assert!((tag as usize) < jobs, "jobs {jobs}: job {i} on track {tag}");
+                assert_eq!(thread == caller, tag == 0, "jobs {jobs}: job {i}");
+            }
+            assert_eq!(lazyeye_obs::trace::worker(), 77, "jobs {jobs}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_fails_the_call_without_hanging() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::time::Duration;
+        // Job 0 runs on the caller; job 1 is the front of the first
+        // spawned worker's deque.
+        for jobs in [1, 2, 4] {
+            for bad in [0, 1] {
+                let (tx, rx) = mpsc::channel();
+                std::thread::spawn(move || {
+                    lazyeye_obs::trace::set_worker(77);
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        execute_indexed(
+                            32,
+                            jobs,
+                            |i| {
+                                assert_ne!(i, bad, "job {bad} fails on purpose");
+                                i
+                            },
+                            |_, _| {},
+                        )
+                    }));
+                    let _ = tx.send((result.is_err(), lazyeye_obs::trace::worker()));
+                });
+                let (failed, tag_after) = rx
+                    .recv_timeout(Duration::from_secs(30))
+                    .unwrap_or_else(|_| panic!("jobs {jobs}, bad job {bad}: hung"));
+                assert!(failed, "jobs {jobs}, bad job {bad}: call returned Ok");
+                assert_eq!(
+                    tag_after, 77,
+                    "jobs {jobs}, bad job {bad}: tag not restored"
+                );
+            }
         }
     }
 

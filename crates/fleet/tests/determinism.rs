@@ -30,9 +30,11 @@ fn mixed_spec() -> FleetSpec {
 fn reports_are_byte_identical_across_jobs_and_shard_merge() {
     let spec = mixed_spec();
     let j1 = run_fleet(&spec, 1, |_, _| {}).unwrap();
-    let j4 = run_fleet(&spec, 4, |_, _| {}).unwrap();
-    assert_eq!(j1.to_json(), j4.to_json());
-    assert_eq!(j1.to_csv(), j4.to_csv());
+    for jobs in [2, 4] {
+        let pooled = run_fleet(&spec, jobs, |_, _| {}).unwrap();
+        assert_eq!(j1.to_json(), pooled.to_json(), "--jobs {jobs}");
+        assert_eq!(j1.to_csv(), pooled.to_csv(), "--jobs {jobs}");
+    }
 
     let mut parts = Vec::new();
     for index in 0..3 {

@@ -617,9 +617,13 @@ impl<'a> Parser<'a> {
                 return Ok(Json::UInt(u));
             }
         }
-        text.parse::<f64>()
-            .map(Json::Float)
-            .map_err(|_| self.err("invalid number"))
+        // An overflowing literal (`1e999`) parses to infinity, which no
+        // JSON document can hold and the writer refuses to print.
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Json::Float(f)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -986,6 +990,20 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"\u{01}\"").is_err());
+    }
+
+    #[test]
+    fn overflowing_numbers_are_errors_not_infinities() {
+        for src in ["1e999", "-1e999", "[0.5e400]"] {
+            let err = Json::parse(src).unwrap_err();
+            assert!(
+                err.to_string().contains("number out of range"),
+                "{src}: {err}"
+            );
+        }
+        // Large but finite, and underflow to zero, still parse.
+        assert_eq!(Json::parse("1e308").unwrap().as_f64(), Some(1e308));
+        assert_eq!(Json::parse("1e-999").unwrap().as_f64(), Some(0.0));
     }
 
     #[test]
