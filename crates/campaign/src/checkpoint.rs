@@ -18,7 +18,6 @@
 //!   partials back into one state before finishing the campaign.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
 
 use lazyeye_json::{FromJson, Json, JsonError, ToJson};
 use lazyeye_net::Family;
@@ -101,15 +100,6 @@ impl Checkpoint {
 
     /// Serialises the state to pretty JSON.
     pub fn to_json_string(&self) -> String {
-        let mut out = String::new();
-        self.to_json_string_into(&mut out);
-        out
-    }
-
-    /// [`Checkpoint::to_json_string`] into a reusable caller buffer — the
-    /// periodic saver re-serialises the whole checkpoint every few dozen
-    /// runs, so buffer reuse saves one large allocation per save.
-    pub fn to_json_string_into(&self, out: &mut String) {
         let outputs: Vec<Json> = self
             .outputs
             .iter()
@@ -122,15 +112,16 @@ impl Checkpoint {
                 Json::Obj(pairs)
             })
             .collect();
-        Json::obj(vec![
+        let mut text = Json::obj(vec![
             ("version", VERSION.to_json()),
             ("spec", ToJson::to_json(&self.spec)),
             ("pass1_runs", self.pass1_runs.to_json()),
             ("shard", self.shard.as_ref().map(ToJson::to_json).to_json()),
             ("outputs", Json::Arr(outputs)),
         ])
-        .write_pretty_into(out);
-        out.push('\n');
+        .to_string_pretty();
+        text.push('\n');
+        text
     }
 
     /// Parses a checkpoint back from JSON.
@@ -164,21 +155,7 @@ impl Checkpoint {
     /// Writes the state to `path` atomically (temp file + rename), so a
     /// kill mid-save can never leave a truncated checkpoint behind.
     pub fn save(&self, path: &str) -> std::io::Result<()> {
-        self.save_with_buf(path, &mut String::new())
-    }
-
-    /// [`Checkpoint::save`] with a reusable serialisation buffer — the
-    /// CLI's periodic saver passes the same buffer on every save.
-    pub fn save_with_buf(&self, path: &str, buf: &mut String) -> std::io::Result<()> {
-        buf.clear();
-        self.to_json_string_into(buf);
-        let tmp = format!("{path}.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(buf.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        lazyeye_exec::write_atomic(path, self.to_json_string().as_bytes())
     }
 
     /// Loads a checkpoint from `path`.

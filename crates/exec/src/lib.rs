@@ -19,6 +19,8 @@
 //!   index, so the output vector is independent of scheduling.
 //! - [`Shard`] — the `--shard i/n` arithmetic (`index % n == i`) both
 //!   CLIs use for multi-machine splits, with its JSON mapping.
+//! - [`write_atomic`] — the temp-file + rename write both engines'
+//!   checkpoints save through.
 //!
 //! The engines keep their domain glue (run specs, checkpoints, reports);
 //! only the scheduling-neutral machinery lives here.
@@ -39,6 +41,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::VecDeque;
+use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Mutex, OnceLock};
@@ -118,6 +121,19 @@ impl Shard {
     pub fn owns(&self, index: u64) -> bool {
         index % self.count == self.index
     }
+}
+
+/// Writes `bytes` to `path` atomically: a sibling `.tmp` file is written,
+/// synced to disk and renamed over `path`, so a kill mid-save never leaves
+/// a truncated file behind.
+pub fn write_atomic(path: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = format!("{path}.tmp");
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)
 }
 
 /// A worker's job deque plus a lock-free length hint, so victim selection
@@ -238,7 +254,10 @@ fn next_job(queues: &[WorkQueue], me: usize) -> Option<usize> {
 /// [`execute_indexed`] with a per-result hook: `on_result(index, output)`
 /// fires on the calling thread as each job finishes. Completion order is
 /// scheduling-dependent — the hook is for side channels (checkpoints,
-/// logs), never for anything that feeds a deterministic report.
+/// logs), never for anything that feeds a deterministic report. The
+/// calling thread is also worker 0, so time spent in a hook is time that
+/// worker runs no job: hand blocking I/O (a checkpoint's disk sync) to
+/// another thread rather than waiting for it in the hook.
 pub fn execute_indexed_with<O: Send>(
     total: usize,
     jobs: usize,
@@ -485,6 +504,17 @@ mod tests {
         assert!(Shard::parse("0/0").is_err());
         assert!(Shard::parse("1").is_err());
         assert!(Shard::parse("a/b").is_err());
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_temp() {
+        let path = std::env::temp_dir().join(format!("lazyeye-exec-{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        write_atomic(path, b"first, longer contents").unwrap();
+        write_atomic(path, b"second").unwrap();
+        assert_eq!(std::fs::read(path).unwrap(), b"second");
+        assert!(!std::path::Path::new(&format!("{path}.tmp")).exists());
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! between machines costs kilobytes even for large populations.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
 
 use lazyeye_exec::Shard;
 use lazyeye_json::{FromJson, Json, JsonError, ToJson};
@@ -138,13 +137,7 @@ impl FleetCheckpoint {
 
     /// Writes the state to `path` atomically (temp file + rename).
     pub fn save(&self, path: &str) -> std::io::Result<()> {
-        let tmp = format!("{path}.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.to_json_string().as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        lazyeye_exec::write_atomic(path, self.to_json_string().as_bytes())
     }
 
     /// Loads a partial from `path`.

@@ -38,6 +38,7 @@ use lazy_eye_inspection::campaign::{
     RunOutput, RunSpec, Shard,
 };
 use lazy_eye_inspection::clients::{all_measured_clients, ClientProfile};
+use lazy_eye_inspection::exec::write_atomic;
 use lazy_eye_inspection::fleet::{
     self, merge_partials, run_fleet, run_fleet_shard, FleetCheckpoint, FleetSpec,
 };
@@ -656,61 +657,108 @@ fn progress_meter(label: &'static str, unit: &'static str) -> impl FnMut(usize, 
 }
 
 /// Saves a checkpoint, downgrading failure to a warning: losing a
-/// checkpoint must not kill the campaign producing it. `buf` is the
-/// reusable serialisation buffer.
-fn save_checkpoint(ckpt: &Checkpoint, path: &Option<String>, buf: &mut String) {
+/// checkpoint must not kill the campaign producing it.
+fn save_checkpoint(ckpt: &Checkpoint, path: &Option<String>) {
     if let Some(path) = path {
-        if let Err(e) = ckpt.save_with_buf(path, buf) {
+        if let Err(e) = ckpt.save(path) {
             eprintln!("lazyeye: warning: cannot write checkpoint {path}: {e}");
         }
     }
 }
 
-/// A closure that saves the checkpoint every [`CHECKPOINT_EVERY`] calls —
-/// the shared cadence for both whole-campaign and shard runs. One
-/// serialisation buffer is reused across all saves.
-fn periodic_save(path: Option<String>) -> impl FnMut(&Checkpoint) {
-    let mut unsaved = 0u64;
-    let mut buf = String::new();
-    move |ckpt| {
-        unsaved += 1;
-        if unsaved >= CHECKPOINT_EVERY {
-            unsaved = 0;
-            save_checkpoint(ckpt, &path, &mut buf);
+/// Saves a snapshot every [`CHECKPOINT_EVERY`] results — the shared
+/// cadence of campaign, campaign-shard and fleet-shard runs — and writes
+/// it on a background thread. The executor runs result hooks on the
+/// calling thread, which is also pool worker 0, so a save that waited
+/// there for the disk sync would idle a worker; the hook only serialises.
+/// The writer skips to the newest queued snapshot, so a slow disk delays
+/// saves instead of stalling the run. Dropping this waits for the last
+/// write, so a final synchronous save cannot race it.
+struct PeriodicSave {
+    writer: Option<(std::sync::mpsc::Sender<String>, std::thread::JoinHandle<()>)>,
+    unsaved: u64,
+}
+
+impl PeriodicSave {
+    /// Saves to `path` (nothing when `None`); `what` names the file in
+    /// warnings — a failed periodic save must not kill the run.
+    fn new(path: Option<String>, what: &'static str) -> PeriodicSave {
+        let writer = path.map(|path| {
+            let (tx, rx) = std::sync::mpsc::channel::<String>();
+            let thread = std::thread::spawn(move || {
+                while let Ok(mut bytes) = rx.recv() {
+                    while let Ok(newer) = rx.try_recv() {
+                        bytes = newer;
+                    }
+                    if let Err(e) = write_atomic(&path, bytes.as_bytes()) {
+                        eprintln!("lazyeye: warning: cannot write {what} {path}: {e}");
+                    }
+                }
+            });
+            (tx, thread)
+        });
+        PeriodicSave { writer, unsaved: 0 }
+    }
+
+    /// Counts one result; every [`CHECKPOINT_EVERY`]th hands `snapshot()`
+    /// to the writer.
+    fn tick(&mut self, snapshot: impl FnOnce() -> String) {
+        self.unsaved += 1;
+        if self.unsaved >= CHECKPOINT_EVERY {
+            self.save(snapshot);
+        }
+    }
+
+    /// Hands `snapshot()` to the writer now.
+    fn save(&mut self, snapshot: impl FnOnce() -> String) {
+        self.unsaved = 0;
+        if let Some((tx, _)) = &self.writer {
+            // Fails only if the writer thread died.
+            let _ = tx.send(snapshot());
         }
     }
 }
 
+impl Drop for PeriodicSave {
+    fn drop(&mut self) {
+        if let Some((tx, thread)) = self.writer.take() {
+            drop(tx);
+            let _ = thread.join();
+        }
+    }
+}
+
+/// A result hook that saves the checkpoint it is handed with the
+/// [`PeriodicSave`] cadence; dropping it waits for the last write.
+fn periodic_save(path: Option<String>) -> impl FnMut(&Checkpoint) {
+    let mut saves = PeriodicSave::new(path, "checkpoint");
+    move |ckpt| saves.tick(|| ckpt.to_json_string())
+}
+
 /// Accumulates completed runs into a checkpoint with the
-/// [`periodic_save`] cadence (plus a final [`Saver::flush`]).
+/// [`PeriodicSave`] cadence (plus a final [`Saver::flush`]).
 struct Saver {
     ckpt: Checkpoint,
-    path: Option<String>,
-    unsaved: u64,
-    buf: String,
+    saves: PeriodicSave,
 }
 
 impl Saver {
     fn new(ckpt: Checkpoint, path: Option<String>) -> Saver {
         Saver {
             ckpt,
-            path,
-            unsaved: 0,
-            buf: String::new(),
+            saves: PeriodicSave::new(path, "checkpoint"),
         }
     }
 
     fn record(&mut self, run: &RunSpec, output: &RunOutput) {
         self.ckpt.record(run.index, output.clone());
-        self.unsaved += 1;
-        if self.unsaved >= CHECKPOINT_EVERY {
-            self.flush();
-        }
+        let ckpt = &self.ckpt;
+        self.saves.tick(|| ckpt.to_json_string());
     }
 
     fn flush(&mut self) {
-        self.unsaved = 0;
-        save_checkpoint(&self.ckpt, &self.path, &mut self.buf);
+        let ckpt = &self.ckpt;
+        self.saves.save(|| ckpt.to_json_string());
     }
 }
 
@@ -873,7 +921,7 @@ fn cmd_campaign_shard(
         Ok(p) => p,
         Err(e) => return fail(&format!("campaign failed: {e}")),
     };
-    save_checkpoint(&part, &ckpt_path, &mut String::new());
+    save_checkpoint(&part, &ckpt_path);
     match emit_partial(&part, out) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => fail(&e),
@@ -1488,26 +1536,17 @@ fn cmd_fleet_dispatch(flags: &Flags, jobs: usize) -> ExitCode {
             return fail("--flamegraph does not apply to shard runs; profile the merge");
         }
         // Save the partial periodically while the shard runs (atomic
-        // temp-file + rename), so a kill loses at most CHECKPOINT_EVERY
-        // sessions — the same crash contract as campaign shards.
+        // temp-file + rename), so a kill loses only the sessions finished
+        // since the last completed save — the same crash contract as
+        // campaign shards.
         let partial_path = out.map(|base| format!("{base}.json"));
-        let mut unsaved = 0u64;
+        let mut saves = PeriodicSave::new(partial_path.clone(), "partial");
         let outcome = run_fleet_shard(
             &spec,
             jobs,
             shard,
             progress_meter("fleet", "sessions"),
-            |ckpt| {
-                unsaved += 1;
-                if unsaved >= CHECKPOINT_EVERY {
-                    unsaved = 0;
-                    if let Some(path) = &partial_path {
-                        if let Err(e) = ckpt.save(path) {
-                            eprintln!("lazyeye: warning: cannot write partial {path}: {e}");
-                        }
-                    }
-                }
-            },
+            move |ckpt| saves.tick(|| ckpt.to_json_string()),
         );
         let part = match outcome {
             Ok(p) => p,
