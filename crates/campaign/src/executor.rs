@@ -24,12 +24,11 @@ use crate::plan::{resolve_clients, resolve_resolvers, RunKind, RunSpec, SpecErro
 use crate::spec::CampaignSpec;
 
 /// Registry handles for campaign-level metrics. Run counts are a pure
-/// function of `(spec, seed)` and live on the virtual clock; the per-run
-/// latency histogram is host timing and stays on the wall clock.
+/// function of `(spec, seed)` and live on the virtual clock; per-run
+/// host latency is the executor's `exec.job_wall_us`.
 struct CampaignMetrics {
     runs: &'static lazyeye_obs::Counter,
     runs_refined: &'static lazyeye_obs::Counter,
-    run_wall_us: &'static lazyeye_obs::Histogram,
 }
 
 fn metrics() -> &'static CampaignMetrics {
@@ -37,7 +36,6 @@ fn metrics() -> &'static CampaignMetrics {
     METRICS.get_or_init(|| CampaignMetrics {
         runs: lazyeye_obs::counter("campaign.runs", lazyeye_obs::Clock::Virtual),
         runs_refined: lazyeye_obs::counter("campaign.runs_refined", lazyeye_obs::Clock::Virtual),
-        run_wall_us: lazyeye_obs::histogram("campaign.run_wall_us", lazyeye_obs::Clock::Wall),
     })
 }
 
@@ -283,13 +281,14 @@ fn run_one_inner(ctx: &RunContext, run: &RunSpec) -> RunOutput {
         m.runs_refined.inc();
     }
     lazyeye_obs::progress::annotate(|| run_label(run));
-    lazyeye_obs::recorder::record(lazyeye_obs::Clock::Virtual, "campaign.run", run_label(run));
+    lazyeye_obs::recorder::record(lazyeye_obs::Clock::Virtual, "campaign.run", || {
+        run_label(run)
+    });
     let _span = if lazyeye_obs::trace::enabled() {
         lazyeye_obs::trace::wall_span(run_label(run))
     } else {
         None
     };
-    let started = std::time::Instant::now();
     // Why the fast path refused this run, when it did — feeds the
     // fastpath-fallback trigger after the run completes.
     let mut refusal: Option<&'static str> = None;
@@ -378,8 +377,6 @@ fn run_one_inner(ctx: &RunContext, run: &RunSpec) -> RunOutput {
     if let Some(reason) = refusal {
         crate::forensics::on_fastpath_fallback(&ctx.spec, run, reason);
     }
-    m.run_wall_us
-        .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
     out
 }
 

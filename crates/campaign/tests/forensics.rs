@@ -195,3 +195,59 @@ fn campaign_triggers_fire_and_replay() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The ring's only reader is a firing trigger, so an unarmed campaign
+/// must not write to it at all, and an armed one records exactly one
+/// `campaign.run` event per run (both passes).
+#[test]
+fn ring_records_one_event_per_run_only_while_armed() {
+    let _g = TRIGGER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let ring = lazyeye_obs::recorder::recorder();
+    let spec = CampaignSpec {
+        name: "forensics-ring".into(),
+        seed: 7,
+        clients: vec!["chrome-130.0".into(), "wget-1.21.3".into()],
+        rd: None,
+        selection: None,
+        resolver: None,
+        cad: Some(CadCaseConfig {
+            sweep: SweepSpec::new(200, 400, 20),
+            repetitions: 2,
+        }),
+        refine_step_ms: Some(5),
+        ..CampaignSpec::default()
+    };
+    let classified_fast_campaign = || {
+        let (runs, outputs) =
+            run_campaign_resumable_with(&spec, 2, true, &BTreeMap::new(), |_, _| {}, |_, _| {})
+                .unwrap();
+        build_report_with(&spec, &runs, &outputs, true);
+        runs.len()
+    };
+
+    trigger::disarm();
+    let before = ring.written();
+    classified_fast_campaign();
+    assert_eq!(
+        ring.written(),
+        before,
+        "an unarmed campaign wrote to the ring"
+    );
+
+    ring.clear();
+    let dir = arm_scratch("ring");
+    let runs = classified_fast_campaign();
+    trigger::disarm();
+    let written = ring.written() - before;
+    assert!(
+        written <= ring.capacity() as u64,
+        "{written} events overflow the ring; shrink the spec"
+    );
+    let run_events = ring
+        .snapshot()
+        .iter()
+        .filter(|e| e.name == "campaign.run")
+        .count();
+    assert_eq!(run_events, runs, "one campaign.run event per run");
+    let _ = std::fs::remove_dir_all(&dir);
+}

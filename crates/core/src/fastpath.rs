@@ -162,11 +162,9 @@ pub fn drive(
 ) -> Result<FastRun, Refusal> {
     let result = drive_inner(cfg, qtypes, start, dns, connect);
     if let Err(refusal) = &result {
-        lazyeye_obs::recorder::record(
-            lazyeye_obs::Clock::Virtual,
-            "core.fastpath.refusal",
-            refusal.label(),
-        );
+        lazyeye_obs::recorder::record(lazyeye_obs::Clock::Virtual, "core.fastpath.refusal", || {
+            refusal.label().to_string()
+        });
     }
     result
 }

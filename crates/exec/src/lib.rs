@@ -74,20 +74,51 @@ fn metrics() -> &'static ExecMetrics {
     })
 }
 
-/// Runs one job with per-item progress attribution and wall-clock
-/// scheduling metrics (busy time, latency histogram, completion count).
-fn timed<O>(worker: u32, run: impl FnOnce() -> O) -> O {
-    lazyeye_obs::progress::item_start(worker);
-    let _job_span = lazyeye_obs::trace::wall_span("exec.job");
-    let started = Instant::now();
-    let out = run();
-    let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    let m = metrics();
-    m.worker_busy_us.add(elapsed_us);
-    m.job_wall_us.record(elapsed_us);
-    m.jobs_completed.inc();
-    lazyeye_obs::progress::item_done(worker);
-    out
+/// One worker's side of an `execute_indexed_with` call: its progress
+/// track and its busy time. Busy time is summed in nanoseconds and added
+/// to `exec.worker_busy_us` once, when the worker retires (or unwinds),
+/// so jobs shorter than a microsecond are not each cut down to whole
+/// microseconds.
+struct Worker {
+    id: u32,
+    busy_ns: u64,
+}
+
+impl Worker {
+    fn new(id: u32) -> Worker {
+        Worker { id, busy_ns: 0 }
+    }
+
+    /// Runs one job with wall-clock scheduling metrics (busy time,
+    /// latency histogram, completion count), and with per-item progress
+    /// attribution while `--progress` is armed.
+    fn timed<O>(&mut self, run: impl FnOnce() -> O) -> O {
+        let progress = lazyeye_obs::progress::enabled();
+        if progress {
+            lazyeye_obs::progress::item_start(self.id);
+        }
+        let _job_span = lazyeye_obs::trace::wall_span("exec.job");
+        let started = Instant::now();
+        let out = run();
+        let elapsed = started.elapsed();
+        self.busy_ns = self
+            .busy_ns
+            .saturating_add(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+        let m = metrics();
+        m.job_wall_us
+            .record(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
+        m.jobs_completed.inc();
+        if progress {
+            lazyeye_obs::progress::item_done(self.id);
+        }
+        out
+    }
+}
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        metrics().worker_busy_us.add(self.busy_ns / 1_000);
+    }
 }
 
 /// A `--shard i/n` restriction: this process executes only jobs whose
@@ -270,9 +301,10 @@ pub fn execute_indexed_with<O: Send>(
     // spans and progress annotations attribute to its track.
     let _tag = WorkerTag::enter(0);
     if jobs == 1 {
+        let mut worker = Worker::new(0);
         return (0..total)
             .map(|index| {
-                let out = timed(0, || run(index));
+                let out = worker.timed(|| run(index));
                 on_result(index, &out);
                 progress(index + 1, total);
                 out
@@ -303,8 +335,9 @@ pub fn execute_indexed_with<O: Send>(
                 let me32 = u32::try_from(me).unwrap_or(u32::MAX - 1);
                 lazyeye_obs::trace::set_worker(me32);
                 let _worker_span = lazyeye_obs::trace::wall_span(format!("exec.worker-{me}"));
+                let mut worker = Worker::new(me32);
                 while let Some(job) = next_job(queues, me) {
-                    let out = timed(me32, || run(job));
+                    let out = worker.timed(|| run(job));
                     if tx.send((job, out)).is_err() {
                         break;
                     }
@@ -321,9 +354,10 @@ pub fn execute_indexed_with<O: Send>(
         };
         {
             let _worker_span = lazyeye_obs::trace::wall_span("exec.worker-0");
+            let mut worker = Worker::new(0);
             let mut job = first;
             while let Some(idx) = job {
-                let out = timed(0, || run(idx));
+                let out = worker.timed(|| run(idx));
                 finish(idx, out);
                 // Hand peers' finished jobs to the hooks without parking.
                 while let Ok((idx, out)) = rx.try_recv() {
@@ -492,6 +526,32 @@ mod tests {
                     "jobs {jobs}, bad job {bad}: tag not restored"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn busy_time_keeps_sub_microsecond_remainders() {
+        use std::time::Duration;
+        // 2,000 jobs of at least 1.5 µs are at least 3,000 µs busy; each
+        // worker may drop under 1 µs of remainder. Truncating every job
+        // to whole microseconds would book about 2,000. Concurrent tests
+        // only add to the shared counter, so they cannot fail this.
+        let busy = lazyeye_obs::counter("exec.worker_busy_us", lazyeye_obs::Clock::Wall);
+        for jobs in [1, 2] {
+            let before = busy.get();
+            execute_indexed(
+                2_000,
+                jobs,
+                |_| {
+                    let started = Instant::now();
+                    while started.elapsed() < Duration::from_nanos(1_500) {
+                        std::hint::spin_loop();
+                    }
+                },
+                |_, _| {},
+            );
+            let added = busy.get() - before;
+            assert!(added >= 2_900, "jobs {jobs}: {added} µs busy");
         }
     }
 

@@ -103,15 +103,15 @@ fn metrics() -> &'static FleetMetrics {
 pub fn run_session(ctx: &SessionContext<'_>, session: &SessionSpec) -> SessionOutput {
     let m = metrics();
     m.sessions.inc();
-    // The flight recorder is always on, so the label is computed
-    // unconditionally and shared with the progress annotation.
-    let label = match session.kind {
+    // Formatted only for an armed surface: `--progress` or the flight
+    // recorder.
+    let label = || match session.kind {
         SessionKind::Cad { member } => format!("cad {}", ctx.member(member).key),
         SessionKind::Rd { member } => format!("rd {}", ctx.member(member).key),
         SessionKind::RdA { member } => format!("rd-a {}", ctx.member(member).key),
         SessionKind::ResolverCheck { stack } => format!("resolver-check {stack:?}"),
     };
-    lazyeye_obs::progress::annotate(|| label.clone());
+    lazyeye_obs::progress::annotate(label);
     lazyeye_obs::recorder::record(lazyeye_obs::Clock::Virtual, "fleet.session", label);
     match session.kind {
         SessionKind::Cad { member } => {

@@ -611,6 +611,11 @@ impl<'a> Parser<'a> {
             .map_err(|_| self.err("invalid number"))?;
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
+                // Integers print as `0`; `-0` is how the writer spells the
+                // float negative zero, so keep its sign and re-emit `-0`.
+                if i == 0 && text.starts_with('-') {
+                    return Ok(Json::Float(-0.0));
+                }
                 return Ok(Json::Int(i));
             }
             if let Ok(u) = text.parse::<u64>() {

@@ -8,10 +8,12 @@
 //!   per-thread buffers, exported as Chrome trace-event JSON by
 //!   [`timeline`];
 //! * live [`progress`] state for the CLI's `--progress` reporter;
-//! * a flight [`recorder`] — an always-on bounded ring of structured
-//!   events — plus a [`trigger`] engine that snapshots it (with full
-//!   run provenance) into self-contained black-box [`bundle`]s on
-//!   anomalies, for `lazyeye replay` forensics;
+//! * a flight [`recorder`] — a bounded ring of structured events that
+//!   records only while the [`trigger`] engine is armed — plus that
+//!   engine, which snapshots it (with full run provenance) into
+//!   self-contained black-box [`bundle`]s on anomalies, for
+//!   `lazyeye replay` forensics. Unarmed, recording an event is one
+//!   relaxed load and never formats its detail;
 //! * a [`profile`] collapsed-stack [`profile::FlameGraph`] builder —
 //!   the deterministic export surface of the causal latency profiler.
 //!

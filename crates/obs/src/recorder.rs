@@ -1,12 +1,18 @@
-//! The flight recorder: an always-on, bounded ring buffer of structured
-//! events.
+//! The flight recorder: a bounded ring buffer of structured events,
+//! recording only while the [trigger engine](crate::trigger) is armed.
 //!
 //! Subsystems record coarse, clock-domain-tagged events (one per
 //! campaign run, fleet session, sim run or fast-path refusal — never
 //! per poll) into a fixed-size ring. The ring never grows: once full,
 //! each new event overwrites the oldest slot (FIFO eviction). When a
-//! [trigger](crate::trigger) fires, [`snapshot`] captures the recent
-//! past into the black-box bundle's wall section.
+//! [trigger](crate::trigger) fires, [`Recorder::snapshot`] captures the
+//! recent past into the black-box bundle's wall section.
+//!
+//! The ring's only reader is a firing trigger, so the process-global
+//! [`record`] keeps nothing while the engine is unarmed: it returns
+//! after one relaxed atomic load and never runs the closure that builds
+//! the event's detail. An unarmed campaign pays no formatting, slot
+//! lock or wall-clock read per event.
 //!
 //! The ring is sharded: a global atomic cursor assigns every write a
 //! unique sequence number and slot, and each slot is guarded by its own
@@ -133,9 +139,13 @@ pub fn recorder() -> &'static Recorder {
     RECORDER.get_or_init(|| Recorder::new(DEFAULT_CAPACITY))
 }
 
-/// Records one event into the process-global ring.
-pub fn record(clock: Clock, name: &'static str, detail: impl Into<String>) {
-    recorder().record(clock, name, detail);
+/// Records one event into the process-global ring while the trigger
+/// engine is [armed](crate::trigger::armed); otherwise returns without
+/// calling `detail`.
+pub fn record(clock: Clock, name: &'static str, detail: impl FnOnce() -> String) {
+    if crate::trigger::armed() {
+        recorder().record(clock, name, detail());
+    }
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //! `(kind, key)` builds its bundle, attaches the wall context (flight
 //! recorder ring snapshot + metrics exposition) and writes it to
 //! `<dir>/<kind>-<key>.json`. Unarmed, `fire` returns immediately
-//! without invoking the bundle builder, so campaigns pay nothing for
-//! the instrumentation by default.
+//! without invoking the bundle builder, and the flight
+//! [recorder](crate::recorder) drops every event after one relaxed load,
+//! so campaigns pay nothing for the instrumentation by default.
 //!
 //! Keys embed the full cell provenance (case, subject, condition,
 //! delay, rep), so the *set* of bundles written is a deterministic
@@ -18,6 +19,7 @@
 use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use lazyeye_json::Json;
@@ -83,27 +85,39 @@ fn state() -> &'static Mutex<Option<Armed>> {
     &STATE
 }
 
+/// Mirrors `state().is_some()` so the hot-path checks ([`armed`] and
+/// every [`crate::recorder::record`]) read one atomic instead of taking
+/// the engine lock.
+static ARMED: AtomicBool = AtomicBool::new(false);
+
 /// Arms the engine: bundles are written into `dir` (created if needed)
 /// until [`disarm`]. Re-arming resets the per-session deduplication
 /// set.
 pub fn arm(dir: &Path) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    *state().lock().unwrap() = Some(Armed {
+    let mut guard = state().lock().unwrap();
+    *guard = Some(Armed {
         dir: dir.to_path_buf(),
         seen: BTreeSet::new(),
     });
+    ARMED.store(true, Ordering::Relaxed);
     Ok(())
 }
 
-/// Disarms the engine; subsequent [`fire`] calls are no-ops.
+/// Disarms the engine; subsequent [`fire`] calls are no-ops and the
+/// flight recorder stops recording.
 pub fn disarm() {
-    *state().lock().unwrap() = None;
+    let mut guard = state().lock().unwrap();
+    ARMED.store(false, Ordering::Relaxed);
+    *guard = None;
 }
 
-/// Whether the engine is currently armed. Trigger sites that need to
-/// compute provenance before firing use this as their early-out.
+/// Whether the engine is currently armed: one relaxed atomic load.
+/// Trigger sites that need to compute provenance before firing use this
+/// as their early-out, and the flight recorder records only while it
+/// holds.
 pub fn armed() -> bool {
-    state().lock().unwrap().is_some()
+    ARMED.load(Ordering::Relaxed)
 }
 
 /// Number of bundles written since process start (virtual domain: the
@@ -139,15 +153,15 @@ pub fn fire(kind: TriggerKind, key: &str, build: impl FnOnce() -> Bundle) -> Opt
     match std::fs::write(&path, bundle.to_json_string()) {
         Ok(()) => {
             crate::counter("flightrec.bundles", Clock::Virtual).inc();
-            crate::recorder::record(Clock::Wall, "flightrec.bundle", path.display().to_string());
+            crate::recorder::record(Clock::Wall, "flightrec.bundle", || {
+                path.display().to_string()
+            });
             Some(path)
         }
         Err(e) => {
-            crate::recorder::record(
-                Clock::Wall,
-                "flightrec.error",
-                format!("{}: {e}", path.display()),
-            );
+            crate::recorder::record(Clock::Wall, "flightrec.error", || {
+                format!("{}: {e}", path.display())
+            });
             None
         }
     }

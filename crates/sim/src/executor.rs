@@ -516,12 +516,11 @@ impl ExecCore {
         m.slots_allocated.add(self.slots_allocated);
         m.slots_reused.add(self.slots_reused);
         if self.polls > 0 {
-            m.run_virtual_us.record(self.now.as_nanos() / 1_000);
-            lazyeye_obs::recorder::record(
-                lazyeye_obs::Clock::Virtual,
-                "sim.run",
-                format!("virtual_us={}", self.now.as_nanos() / 1_000),
-            );
+            let virtual_us = self.now.as_nanos() / 1_000;
+            m.run_virtual_us.record(virtual_us);
+            lazyeye_obs::recorder::record(lazyeye_obs::Clock::Virtual, "sim.run", || {
+                format!("virtual_us={virtual_us}")
+            });
         }
         if let Some(track) = self.trace_track.take() {
             if self.polls > 0 {

@@ -69,7 +69,9 @@ fn note_fallback(reason: &'static str) {
         lazyeye_obs::Clock::Virtual,
     )
     .inc();
-    lazyeye_obs::recorder::record(lazyeye_obs::Clock::Virtual, "fastpath.fallback", reason);
+    lazyeye_obs::recorder::record(lazyeye_obs::Clock::Virtual, "fastpath.fallback", || {
+        reason.to_string()
+    });
 }
 
 /// The delays a sweep's model is verified at: both endpoints. The shift

@@ -1,12 +1,22 @@
-//! Property-based hostile-input tests for the two resumable state files:
-//! campaign checkpoints and fleet partials. Arbitrary bytes and byte-level
+//! Property-based hostile-input tests for the files the CLI loads back:
+//! the two resumable state files (campaign checkpoints and fleet
+//! partials) and flight-recorder bundles. Arbitrary bytes and byte-level
 //! mutations of a valid file must parse to `Ok` or `Err`, never panic.
 
 use std::sync::OnceLock;
 
-use lazyeye_campaign::{run_shard, CampaignSpec, Checkpoint, RdPlan, SelectionPlan, Shard};
+use lazyeye_campaign::forensics::{capture_trace, provenance};
+use lazyeye_campaign::{
+    expand, run_shard, CampaignSpec, Checkpoint, NetemSpec, RdPlan, RunProvenance, SelectionPlan,
+    Shard,
+};
 use lazyeye_fleet::{run_fleet_shard, FleetCheckpoint, FleetSpec};
+use lazyeye_json::{FromJson, Json, ToJson};
+use lazyeye_obs::bundle::Bundle;
+use lazyeye_obs::recorder::Recorder;
+use lazyeye_obs::Clock;
 use lazyeye_testbed::{CadCaseConfig, DelayedRecord, ResolverCaseConfig, SweepSpec};
+use lazyeye_trace::Trace;
 use proptest::prelude::*;
 
 const WHOLE: Shard = Shard { index: 0, count: 1 };
@@ -65,6 +75,66 @@ fn fleet_partial() -> &'static str {
     })
 }
 
+/// A valid fast-path-fallback bundle: a lossy CAD run's provenance and
+/// captured trace, plus a wall section with a ring snapshot.
+fn bundle_text() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let spec = CampaignSpec {
+            name: "hostile".into(),
+            seed: 3,
+            clients: vec!["chrome-130.0".into()],
+            netem: vec![NetemSpec {
+                label: "lossy".into(),
+                loss_pct: 1.5,
+                jitter_ms: 2,
+                duplicate_pct: 0.5,
+            }],
+            cad: Some(CadCaseConfig {
+                sweep: SweepSpec::new(250, 250, 50),
+                repetitions: 1,
+            }),
+            rd: None,
+            selection: None,
+            resolver: None,
+            ..CampaignSpec::default()
+        };
+        let runs = expand(&spec).unwrap();
+        let p = provenance(&spec, runs.last().unwrap());
+        let trace = capture_trace(&p);
+        let mut bundle = Bundle::new(
+            "fastpath-fallback",
+            "cad:chrome-130.0:lossy:d250:r0",
+            "tie",
+            p.to_json(),
+            trace.to_json(),
+        );
+        let ring = Recorder::new(4);
+        ring.record(
+            Clock::Virtual,
+            "campaign.run",
+            "cad chrome-130.0 delay=250ms rep=0",
+        );
+        ring.record(Clock::Virtual, "sim.run", "virtual_us=250000");
+        bundle.wall = Json::obj(vec![
+            ("ring", ring.snapshot_json()),
+            (
+                "metrics",
+                Json::Str("lazyeye_campaign_runs{clock=\"virtual\"} 1\n".into()),
+            ),
+        ]);
+        bundle.to_json_string()
+    })
+}
+
+/// Loads `text` the way `lazyeye replay` does, up to re-execution.
+fn load_bundle(text: &str) {
+    if let Ok(bundle) = Bundle::from_json_str(text) {
+        let _ = RunProvenance::from_json(&bundle.provenance);
+        let _ = Trace::from_json(&bundle.trace);
+    }
+}
+
 /// Bytes that change a JSON document's structure rather than a value's
 /// spelling.
 const JSON_BYTES: &[u8] = b"{}[],:\"\\-.0123456789eEtfn ";
@@ -99,6 +169,11 @@ fn valid_files_parse() {
     assert!(!ckpt.completed().is_empty());
     let partial = FleetCheckpoint::from_json_str(fleet_partial()).unwrap();
     assert_eq!(partial.to_json_string(), fleet_partial());
+    let bundle = Bundle::from_json_str(bundle_text()).unwrap();
+    let p = RunProvenance::from_json(&bundle.provenance).unwrap();
+    assert_eq!(p.condition, "lossy");
+    assert!(!Trace::from_json(&bundle.trace).unwrap().events.is_empty());
+    assert_eq!(bundle.to_json_string(), bundle_text());
 }
 
 proptest! {
@@ -107,6 +182,7 @@ proptest! {
         let text = String::from_utf8_lossy(&bytes);
         let _ = Checkpoint::from_json_str(&text);
         let _ = FleetCheckpoint::from_json_str(&text);
+        load_bundle(&text);
     }
 
     #[test]
@@ -121,5 +197,12 @@ proptest! {
         edits in proptest::collection::vec(arb_edit(), 1..4),
     ) {
         let _ = FleetCheckpoint::from_json_str(&mutate(fleet_partial(), &edits));
+    }
+
+    #[test]
+    fn bundle_loader_never_panics_on_mutated_valid_bundle(
+        edits in proptest::collection::vec(arb_edit(), 1..4),
+    ) {
+        load_bundle(&mutate(bundle_text(), &edits));
     }
 }
