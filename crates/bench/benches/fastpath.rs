@@ -2,8 +2,8 @@
 //! campaign — end-to-end runs/second both ways.
 //!
 //! Also emits the `fastpath` section of `BENCH.json`: both throughput
-//! series, plus the deterministic calibration/run/fallback counters of
-//! one fixed-seed `--jobs 1` fast execution. `bench_check` pins the
+//! series, plus the deterministic calibration/run/fallback/cell counters
+//! of one fixed-seed `--jobs 1` fast execution. `bench_check` pins the
 //! counters against the checked-in baseline and gates the speedup at
 //! ≥ 2× (both numbers come from the same run on the same machine, so
 //! the gate is machine-independent).
@@ -44,8 +44,8 @@ fn emit_json(_c: &mut Criterion) {
     );
 
     // Counters: one fixed-seed fast campaign at --jobs 1. Calibration
-    // count, fast-run count and fallback count are all deterministic
-    // functions of (spec, seed).
+    // count, fast-run count, fallback count and the number of cells driven
+    // are all deterministic functions of (spec, seed).
     bench_json::reset_counters();
     let report = run_campaign_with(&spec, 1, true, |_, _| {}).unwrap();
     let fp = |name: &'static str| {
@@ -64,6 +64,7 @@ fn emit_json(_c: &mut Criterion) {
                     ("calibrations", fp("fastpath.calibrations")),
                     ("fast_runs", fp("fastpath.runs")),
                     ("fallbacks", fp("fastpath.fallbacks")),
+                    ("cells", fp("fastpath.cells")),
                 ]),
             ),
         ]),
@@ -113,7 +114,7 @@ fn bench(c: &mut Criterion) {
     c.bench_function("cad_cell_compiled", |b| {
         let profile = lazyeye_clients::table2_clients().remove(0);
         let fp = lazyeye_testbed::CadFastPath::calibrate(&profile, 7, &[]).unwrap();
-        b.iter(|| std::hint::black_box(fp.run(200, 0).unwrap().observed_cad_ms))
+        b.iter(|| std::hint::black_box(fp.cell(200).unwrap().observed_cad_ms))
     });
 }
 

@@ -5,19 +5,21 @@
 //! their outputs independent of scheduling. The scheduling itself (the
 //! work-stealing pool with index-ordered results) is the shared
 //! [`lazyeye_exec`] layer; this module contributes the campaign-specific
-//! glue: resolving spec ids into profiles once ([`RunContext`]) and
+//! glue: resolving spec ids into profiles once ([`RunContext`]),
+//! driving each fast-path cell once per execution ([`CellMemo`]) and
 //! reducing each run to a small [`RunOutput`] on the worker.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 use lazyeye_clients::ClientProfile;
 use lazyeye_exec::execute_indexed_with;
 use lazyeye_net::NetemRule;
 use lazyeye_resolver::ResolverProfile;
 use lazyeye_testbed::{
-    run_cad_once, run_rd_once_netem, run_resolver_once_netem, run_selection_once_netem,
-    CadFastPath, CadSample, DelayedRecord, RdFastPath, RdSample, ResolverSample,
-    SelectionCaseConfig, SelectionResult,
+    book_cell, book_run, run_cad_once, run_rd_once_netem, run_resolver_once_netem,
+    run_selection_once_netem, CadFastPath, CadSample, DelayedRecord, RdFastPath, RdSample,
+    ResolverSample, SelectionCaseConfig, SelectionResult,
 };
 
 use crate::plan::{resolve_clients, resolve_resolvers, RunKind, RunSpec, SpecError};
@@ -171,6 +173,167 @@ impl FastCache {
         }
         fast
     }
+
+    fn is_empty(&self) -> bool {
+        self.cad.is_empty() && self.rd.is_empty()
+    }
+
+    /// The model serving `client`'s CAD runs (`record` `None`) or its RD
+    /// runs delaying `record`.
+    fn model(&self, client: &str, record: Option<DelayedRecord>) -> Option<Model<'_>> {
+        match record {
+            None => self.cad.get(client).map(Model::Cad),
+            Some(record) => self.rd.get(&record)?.get(client).map(Model::Rd),
+        }
+    }
+}
+
+/// A calibrated model, borrowed from the [`FastCache`].
+#[derive(Clone, Copy)]
+enum Model<'c> {
+    Cad(&'c CadFastPath),
+    Rd(&'c RdFastPath),
+}
+
+/// A CAD or RD run's fields bar `rep`: `(client, netem, delayed record,
+/// delay)`, the record `None` for CAD. A fast-path cell is a model at one
+/// delay; the models are seed-free, so every run of a cell — each
+/// repetition, under each netem label with empty rules — has the same
+/// outcome.
+type RunCell<'r> = (&'r str, &'r str, Option<DelayedRecord>, u64);
+
+fn run_cell(kind: &RunKind) -> Option<RunCell<'_>> {
+    match kind {
+        RunKind::Cad {
+            client,
+            netem,
+            delay_ms,
+            ..
+        } => Some((client, netem, None, *delay_ms)),
+        RunKind::Rd {
+            client,
+            netem,
+            record,
+            delay_ms,
+            ..
+        } => Some((client, netem, Some(*record), *delay_ms)),
+        RunKind::Selection { .. } | RunKind::Resolver { .. } => None,
+    }
+}
+
+/// One cell's model and its outcome, driven by the first run that needs
+/// it.
+struct FastCell<'c> {
+    model: Model<'c>,
+    delay_ms: u64,
+    /// The model's output, with `rep` 0, or why it refused the cell.
+    outcome: OnceLock<Result<RunOutput, &'static str>>,
+}
+
+impl<'c> FastCell<'c> {
+    fn new(model: Model<'c>, delay_ms: u64) -> FastCell<'c> {
+        FastCell {
+            model,
+            delay_ms,
+            outcome: OnceLock::new(),
+        }
+    }
+
+    /// Serves one run of the cell: books the run as fast or as a
+    /// fallback, and returns the cell's output stamped with the run's own
+    /// `rep`, or the refusal reason. The cell is driven on first use.
+    fn serve(&self, kind: &RunKind) -> Result<RunOutput, &'static str> {
+        let outcome = self.outcome.get_or_init(|| {
+            book_cell();
+            match self.model {
+                Model::Cad(fp) => fp.cell(self.delay_ms).map(RunOutput::Cad),
+                Model::Rd(fp) => fp.cell(self.delay_ms).map(RunOutput::Rd),
+            }
+        });
+        book_run(outcome);
+        match (outcome, kind) {
+            (Ok(RunOutput::Cad(s)), RunKind::Cad { rep, .. }) => {
+                Ok(RunOutput::Cad(CadSample { rep: *rep, ..*s }))
+            }
+            (Ok(RunOutput::Rd(s)), RunKind::Rd { rep, .. }) => {
+                Ok(RunOutput::Rd(RdSample { rep: *rep, ..*s }))
+            }
+            (Ok(_), _) => unreachable!("a cell serves only runs of its model's kind"),
+            (Err(reason), _) => Err(reason),
+        }
+    }
+}
+
+/// The fast-path cells of one [`execute_with`] call, shared by every pool
+/// worker: each cell is driven exactly once, whatever the worker count.
+/// It lives for the call, not in the [`RunContext`], so every execution
+/// pays for its own cells.
+struct CellMemo<'c> {
+    /// Per model, its cells in order of first use. One vector per model
+    /// rather than one for all cells: on a 36k-run campaign the single
+    /// large vector measured 8 MiB more peak RSS for the same work,
+    /// through where the allocator then placed each pass's buffers.
+    cells: Vec<Vec<FastCell<'c>>>,
+    /// Per run position, its cell as (model, index in the model's
+    /// cells); [`NO_CELL`] when no model serves the run.
+    cell_of: Vec<(u32, u32)>,
+}
+
+const NO_CELL: (u32, u32) = (u32::MAX, u32::MAX);
+
+impl<'c> CellMemo<'c> {
+    /// Maps every run of `runs` to its cell, so a run finds its model and
+    /// its outcome slot by position alone. Memory grows with the number
+    /// of distinct cells, plus one index per run.
+    fn new(ctx: &'c RunContext, runs: &[RunSpec]) -> CellMemo<'c> {
+        // Per (client, record): the number of its model, or `None` when
+        // no model serves it.
+        let mut numbers: HashMap<(&str, Option<DelayedRecord>), Option<u32>> = HashMap::new();
+        // Per model number: the model, its cells' indices by delay, and
+        // its cells.
+        let mut models: Vec<(Model<'c>, BTreeMap<u64, u32>, Vec<FastCell<'c>>)> = Vec::new();
+        let mut cell_of = Vec::with_capacity(runs.len());
+        // Expansion lists runs grouped by (client, netem, record), and a
+        // cell's repetitions back to back: a run looks up its model only
+        // where the group changes, and its cell only where the delay does.
+        let mut last: Option<(RunCell<'_>, Option<u32>, (u32, u32))> = None;
+        for run in runs {
+            let Some(fields @ (client, netem, record, delay_ms)) = run_cell(&run.kind) else {
+                cell_of.push(NO_CELL);
+                continue;
+            };
+            let number = match last {
+                Some(((c, n, r, _), number, _)) if (c, n, r) == (client, netem, record) => number,
+                _ if !ctx.netem(netem).is_empty() => None,
+                _ => *numbers.entry((client, record)).or_insert_with(|| {
+                    let model = ctx.fast.model(client, record)?;
+                    models.push((model, BTreeMap::new(), Vec::new()));
+                    Some(u32::try_from(models.len() - 1).expect("fewer than 2^32 models"))
+                }),
+            };
+            let cell = match (last, number) {
+                (Some((prev, _, cell)), _) if prev == fields => cell,
+                (_, None) => NO_CELL,
+                (_, Some(m)) => {
+                    let (model, by_delay, cells) = &mut models[m as usize];
+                    let i = *by_delay.entry(delay_ms).or_insert_with(|| {
+                        cells.push(FastCell::new(*model, delay_ms));
+                        u32::try_from(cells.len() - 1).expect("fewer than 2^32 cells a model")
+                    });
+                    (m, i)
+                }
+            };
+            last = Some((fields, number, cell));
+            cell_of.push(cell);
+        }
+        let cells = models.into_iter().map(|(_, _, cells)| cells).collect();
+        CellMemo { cells, cell_of }
+    }
+
+    fn cell(&self, position: usize) -> Option<&FastCell<'c>> {
+        let (model, index) = self.cell_of[position];
+        self.cells.get(model as usize)?.get(index as usize)
+    }
 }
 
 impl RunContext {
@@ -240,6 +403,20 @@ impl RunContext {
             .unwrap_or_else(|| panic!("run references unresolved client {id:?}"))
     }
 
+    /// A fresh cell for one run, outside any [`CellMemo`], when a model
+    /// serves the run: a CAD or RD run under a netem label with empty
+    /// rules.
+    fn fast_cell(&self, kind: &RunKind) -> Option<FastCell<'_>> {
+        if self.fast.is_empty() {
+            return None;
+        }
+        let (client, netem, record, delay_ms) = run_cell(kind)?;
+        if !self.netem(netem).is_empty() {
+            return None;
+        }
+        Some(FastCell::new(self.fast.model(client, record)?, delay_ms))
+    }
+
     /// Verified fast-path models held: `(cad, rd)`.
     #[cfg(test)]
     pub(crate) fn fast_models(&self) -> (usize, usize) {
@@ -254,14 +431,23 @@ impl RunContext {
     }
 }
 
-/// Executes a single run in a fresh simulation.
+/// Executes a single run in a fresh simulation, or through its fast-path
+/// model when one serves it. Each call drives the model afresh; only
+/// [`execute_with`] shares a cell's outcome between runs.
 ///
 /// Worker panics are forwarded unchanged, but when the flight recorder's
 /// trigger engine is armed, a `run-panic` bundle (provenance + panic
 /// message, no trace) is written first — the black box survives the
 /// crash it describes.
 pub fn run_one(ctx: &RunContext, run: &RunSpec) -> RunOutput {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_one_inner(ctx, run))) {
+    run_one_with(ctx, run, ctx.fast_cell(&run.kind).as_ref())
+}
+
+/// [`run_one`] served by `cell` when it is given.
+fn run_one_with(ctx: &RunContext, run: &RunSpec, cell: Option<&FastCell<'_>>) -> RunOutput {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_one_inner(ctx, run, cell)
+    })) {
         Ok(out) => out,
         Err(payload) => {
             crate::forensics::on_run_panic(
@@ -274,7 +460,7 @@ pub fn run_one(ctx: &RunContext, run: &RunSpec) -> RunOutput {
     }
 }
 
-fn run_one_inner(ctx: &RunContext, run: &RunSpec) -> RunOutput {
+fn run_one_inner(ctx: &RunContext, run: &RunSpec, cell: Option<&FastCell<'_>>) -> RunOutput {
     let m = metrics();
     m.runs.inc();
     if run.refined {
@@ -289,62 +475,46 @@ fn run_one_inner(ctx: &RunContext, run: &RunSpec) -> RunOutput {
     } else {
         None
     };
-    // Why the fast path refused this run, when it did — feeds the
-    // fastpath-fallback trigger after the run completes.
-    let mut refusal: Option<&'static str> = None;
-    let out = match &run.kind {
+    match cell.map(|cell| cell.serve(&run.kind)) {
+        Some(Ok(out)) => out,
+        Some(Err(reason)) => {
+            let out = simulate(ctx, run);
+            crate::forensics::on_fastpath_fallback(&ctx.spec, run, reason);
+            out
+        }
+        None => simulate(ctx, run),
+    }
+}
+
+/// Runs `run` in a fresh simulation under its own seed.
+fn simulate(ctx: &RunContext, run: &RunSpec) -> RunOutput {
+    match &run.kind {
         RunKind::Cad {
             client,
             netem,
             delay_ms,
             rep,
-        } => {
-            let rules = ctx.netem(netem);
-            let fast = rules
-                .is_empty()
-                .then(|| ctx.fast.cad.get(client.as_str()))
-                .flatten()
-                .and_then(|fp| match fp.run_detailed(*delay_ms, *rep) {
-                    Ok(sample) => Some(sample),
-                    Err(reason) => {
-                        refusal = Some(reason);
-                        None
-                    }
-                });
-            RunOutput::Cad(fast.unwrap_or_else(|| {
-                run_cad_once(ctx.client(client), *delay_ms, *rep, run.seed, rules)
-            }))
-        }
+        } => RunOutput::Cad(run_cad_once(
+            ctx.client(client),
+            *delay_ms,
+            *rep,
+            run.seed,
+            ctx.netem(netem),
+        )),
         RunKind::Rd {
             client,
             netem,
             record,
             delay_ms,
             rep,
-        } => {
-            let rules = ctx.netem(netem);
-            let fast = rules
-                .is_empty()
-                .then(|| ctx.fast.rd.get(record)?.get(client.as_str()))
-                .flatten()
-                .and_then(|fp| match fp.run_detailed(*delay_ms, *rep) {
-                    Ok(sample) => Some(sample),
-                    Err(reason) => {
-                        refusal = Some(reason);
-                        None
-                    }
-                });
-            RunOutput::Rd(fast.unwrap_or_else(|| {
-                run_rd_once_netem(
-                    ctx.client(client),
-                    *record,
-                    *delay_ms,
-                    *rep,
-                    run.seed,
-                    rules,
-                )
-            }))
-        }
+        } => RunOutput::Rd(run_rd_once_netem(
+            ctx.client(client),
+            *record,
+            *delay_ms,
+            *rep,
+            run.seed,
+            ctx.netem(netem),
+        )),
         RunKind::Selection {
             client,
             netem,
@@ -373,11 +543,7 @@ fn run_one_inner(ctx: &RunContext, run: &RunSpec) -> RunOutput {
                 ctx.netem(netem),
             ))
         }
-    };
-    if let Some(reason) = refusal {
-        crate::forensics::on_fastpath_fallback(&ctx.spec, run, reason);
     }
-    out
 }
 
 /// Executes every run, fanning out over `jobs` worker threads, and
@@ -400,6 +566,11 @@ pub fn execute(
 /// run's position in the `runs` slice. Completion order is
 /// scheduling-dependent — the hook is for side channels (checkpoints,
 /// logs), never for anything that feeds the report.
+///
+/// With the fast path on, the call drives each distinct fast-path cell
+/// once and copies its outcome into every run of the cell; the outputs
+/// and the per-run `fastpath.runs` / `fastpath.fallbacks` counts equal a
+/// [`run_one`] loop's.
 pub fn execute_with(
     ctx: &RunContext,
     runs: &[RunSpec],
@@ -407,10 +578,14 @@ pub fn execute_with(
     progress: impl FnMut(usize, usize),
     on_result: impl FnMut(usize, &RunOutput),
 ) -> Vec<RunOutput> {
+    let memo = (!ctx.fast.is_empty()).then(|| CellMemo::new(ctx, runs));
     execute_indexed_with(
         runs.len(),
         jobs,
-        |position| run_one(ctx, &runs[position]),
+        |position| {
+            let cell = memo.as_ref().and_then(|memo| memo.cell(position));
+            run_one_with(ctx, &runs[position], cell)
+        },
         progress,
         on_result,
     )

@@ -251,3 +251,42 @@ fn ring_records_one_event_per_run_only_while_armed() {
     assert_eq!(run_events, runs, "one campaign.run event per run");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A refused cell is refused for every one of its runs, whichever of them
+/// drove it: each run books one fallback and writes one
+/// `fastpath.fallback` ring event, and the analytic driver writes none.
+#[test]
+fn ring_holds_one_fallback_event_per_refused_run() {
+    let _g = TRIGGER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let ring = lazyeye_obs::recorder::recorder();
+    let fallbacks = lazyeye_obs::counter("fastpath.fallbacks", lazyeye_obs::Clock::Virtual);
+    // Chrome's 300 ms CAD is a sweep point: a tie cell, at 2 reps.
+    let spec = CampaignSpec {
+        name: "forensics-fallbacks".into(),
+        seed: 7,
+        clients: vec!["chrome-130.0".into()],
+        rd: None,
+        selection: None,
+        resolver: None,
+        cad: Some(CadCaseConfig {
+            sweep: SweepSpec::new(280, 320, 20),
+            repetitions: 2,
+        }),
+        refine_step_ms: None,
+        ..CampaignSpec::default()
+    };
+
+    ring.clear();
+    let before = fallbacks.get();
+    let dir = arm_scratch("fallbacks");
+    run_campaign_resumable_with(&spec, 2, true, &BTreeMap::new(), |_, _| {}, |_, _| {}).unwrap();
+    trigger::disarm();
+    let moved = fallbacks.get() - before;
+    assert_eq!(moved, 2, "the tie cell refuses both reps");
+
+    let events = ring.snapshot();
+    let count = |name: &str| events.iter().filter(|e| e.name == name).count() as u64;
+    assert_eq!(count("fastpath.fallback"), moved);
+    assert_eq!(count("core.fastpath.refusal"), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -109,7 +109,7 @@ pub enum Refusal {
 
 impl Refusal {
     /// Stable label used for metrics (`fastpath.fallbacks{reason=..}`)
-    /// and flight-recorder events.
+    /// and the caller's flight-recorder events.
     pub fn label(self) -> &'static str {
         match self {
             Refusal::Tie => "tie",
@@ -154,22 +154,6 @@ struct InFlight {
 /// dynamic-CAD profiles take their deterministic no-history value
 /// exactly as they do under full simulation.
 pub fn drive(
-    cfg: &HeConfig,
-    qtypes: Vec<lazyeye_dns::RrType>,
-    start: SimTime,
-    dns: &[Arrival<'_>],
-    connect: impl Fn(IpAddr, CandidateProto) -> Option<AttemptOutcome>,
-) -> Result<FastRun, Refusal> {
-    let result = drive_inner(cfg, qtypes, start, dns, connect);
-    if let Err(refusal) = &result {
-        lazyeye_obs::recorder::record(lazyeye_obs::Clock::Virtual, "core.fastpath.refusal", || {
-            refusal.label().to_string()
-        });
-    }
-    result
-}
-
-fn drive_inner(
     cfg: &HeConfig,
     qtypes: Vec<lazyeye_dns::RrType>,
     start: SimTime,

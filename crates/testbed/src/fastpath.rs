@@ -5,8 +5,10 @@
 //! model every per-run timing is a pure function of that parameter: the
 //! configured IPv6 egress delay adds exactly to the IPv6 handshake
 //! duration (CAD case), and the configured answer delay adds exactly to
-//! the delayed record's arrival (RD case). So instead of simulating every
-//! `(delay, rep)` cell, this module:
+//! the delayed record's arrival (RD case). The repetition plays no part:
+//! the model is seed-free, so every repetition of a `(client, delay)`
+//! cell has the same outcome. So instead of simulating every
+//! `(delay, rep)` run, this module:
 //!
 //! 1. **calibrates** once — a probe run at delay 0 records the DNS answer
 //!    timeline and per-endpoint handshake durations;
@@ -15,11 +17,15 @@
 //! 3. **verifies** the model against full simulation at the sweep
 //!    endpoints (byte-comparing the `HeLog` event streams); and
 //! 4. **drives** the pure [`HeMachine`](lazyeye_core::HeMachine) over the
-//!    modelled timeline via [`lazyeye_core::fastpath::drive`].
+//!    modelled timeline via [`lazyeye_core::fastpath::drive`], once per
+//!    distinct cell ([`CadFastPath::cell`], [`RdFastPath::cell`]); the
+//!    caller copies the outcome into every repetition of the cell.
 //!
 //! Any crack in the model — an endpoint verification mismatch, a
 //! same-instant tie the analytic driver refuses to order, a cached-path
-//! run — falls back to full simulation, per run or for the whole sweep.
+//! run — falls back to full simulation, per run or for the whole sweep. A
+//! refused cell is refused for all of its repetitions, and each of them
+//! simulates under its own seed.
 //! The fallback discipline is what keeps fast-path results byte-identical
 //! to simulated ones rather than merely close.
 
@@ -50,11 +56,24 @@ fn counter(name: &'static str) -> &'static lazyeye_obs::Counter {
     lazyeye_obs::counter(name, lazyeye_obs::Clock::Virtual)
 }
 
-/// Books one fast run. The handle is cached: every fast run bumps it,
-/// and a registry lookup takes the global registry lock.
-fn note_fast_run() {
+/// Books one cell evaluation (`fastpath.cells`): a model driven at one
+/// delay. Calibration's verification drives are not booked.
+pub fn book_cell() {
+    static CELLS: OnceLock<&'static lazyeye_obs::Counter> = OnceLock::new();
+    CELLS.get_or_init(|| counter("fastpath.cells")).inc();
+}
+
+/// Books one run of a modelled cell: a fast run (`fastpath.runs`) when
+/// the model served the cell, a fallback under the refusal reason when it
+/// did not.
+pub fn book_run<S>(cell: &Result<S, &'static str>) {
+    // Cached: every fast run bumps it, and a registry lookup takes the
+    // global registry lock.
     static RUNS: OnceLock<&'static lazyeye_obs::Counter> = OnceLock::new();
-    RUNS.get_or_init(|| counter("fastpath.runs")).inc();
+    match cell {
+        Ok(_) => RUNS.get_or_init(|| counter("fastpath.runs")).inc(),
+        Err(reason) => note_fallback(reason),
+    }
 }
 
 /// Books one fallback: the aggregate `fastpath.fallbacks` stays the sum
@@ -203,7 +222,7 @@ impl CadFastPath {
         };
         for &(delay_ms, run_seed) in verify {
             let (actual, actual_log) = run_cad_once_log(profile, delay_ms, 0, run_seed);
-            let Ok((predicted, predicted_log)) = fp.run_logged(delay_ms, 0) else {
+            let Ok((predicted, predicted_log)) = fp.cell_logged(delay_ms) else {
                 return None;
             };
             if predicted_log.events != actual_log.events || !cad_samples_agree(&predicted, &actual)
@@ -216,29 +235,17 @@ impl CadFastPath {
 
     /// One modelled cell: the configured IPv6 egress delay adds to the
     /// IPv6 handshake duration (SYN-ACKs traverse the delayed egress; the
-    /// DNS exchange rides IPv4 and is untouched). `None` means this cell
-    /// must be simulated.
-    pub fn run(&self, delay_ms: u64, rep: u32) -> Option<CadSample> {
-        self.run_detailed(delay_ms, rep).ok()
+    /// DNS exchange rides IPv4 and is untouched). The sample carries
+    /// `rep` 0; every repetition of the cell shares it and stamps its own.
+    /// `Err` names why the model refused — one of `tie`,
+    /// `unknown_candidate`, `cached_path` — and means every run of the
+    /// cell must be simulated. Pure: books no counter (see [`book_cell`]
+    /// and [`book_run`]).
+    pub fn cell(&self, delay_ms: u64) -> Result<CadSample, &'static str> {
+        self.cell_logged(delay_ms).map(|(sample, _)| sample)
     }
 
-    /// Like [`CadFastPath::run`], but surfaces *why* the model refused —
-    /// one of `tie`, `unknown_candidate`, `cached_path` — for the
-    /// per-reason fallback counters and the trigger engine.
-    pub fn run_detailed(&self, delay_ms: u64, rep: u32) -> Result<CadSample, &'static str> {
-        match self.run_logged(delay_ms, rep) {
-            Ok((sample, _)) => {
-                note_fast_run();
-                Ok(sample)
-            }
-            Err(reason) => {
-                note_fallback(reason);
-                Err(reason)
-            }
-        }
-    }
-
-    fn run_logged(&self, delay_ms: u64, rep: u32) -> Result<(CadSample, HeLog), &'static str> {
+    fn cell_logged(&self, delay_ms: u64) -> Result<(CadSample, HeLog), &'static str> {
         let extra = Duration::from_millis(delay_ms);
         let connect = |addr: IpAddr, proto: CandidateProto| {
             let mut o = self.base.outcome(addr, proto)?;
@@ -257,7 +264,7 @@ impl CadFastPath {
         .map_err(|r| r.label())?;
         let sample = CadSample {
             configured_delay_ms: delay_ms,
-            rep,
+            rep: 0,
             family: run.result.as_ref().ok().map(|w| w.family),
             observed_cad_ms: run.log.observed_cad().map(|d| d.as_secs_f64() * 1000.0),
             aaaa_first: self.aaaa_first,
@@ -267,8 +274,8 @@ impl CadFastPath {
 }
 
 /// [`crate::runner::run_cad_case`] through the fast path: calibrate once,
-/// model every cell, simulate only what the model refuses. Produces the
-/// exact sample sequence of the simulated sweep.
+/// drive each delay's cell once, simulate only what the model refuses.
+/// Produces the exact sample sequence of the simulated sweep.
 pub fn run_cad_case_fast(
     profile: &ClientProfile,
     cfg: &CadCaseConfig,
@@ -282,14 +289,21 @@ pub fn run_cad_case_fast(
     let fp = CadFastPath::calibrate(profile, seed, &verify);
     let mut out = Vec::new();
     for delay_ms in delays {
+        let cell = fp.as_ref().map(|fp| {
+            book_cell();
+            fp.cell(delay_ms)
+        });
         for rep in 0..cfg.repetitions {
-            let sample = fp
-                .as_ref()
-                .and_then(|fp| fp.run(delay_ms, rep))
-                .unwrap_or_else(|| {
+            if let Some(cell) = &cell {
+                book_run(cell);
+            }
+            let sample = match &cell {
+                Some(Ok(sample)) => CadSample { rep, ..*sample },
+                _ => {
                     let run_seed = derive_case_seed(seed, CAD_SEED_TAG, delay_ms, rep);
                     run_cad_once(profile, delay_ms, rep, run_seed, &[])
-                });
+                }
+            };
             out.push(sample);
         }
     }
@@ -348,7 +362,7 @@ impl RdFastPath {
         };
         for &(delay_ms, run_seed) in verify {
             let (actual, actual_log) = run_rd_once_log(profile, delayed, delay_ms, 0, run_seed);
-            let Ok((predicted, predicted_log)) = fp.run_logged(delay_ms, 0) else {
+            let Ok((predicted, predicted_log)) = fp.cell_logged(delay_ms) else {
                 return None;
             };
             if predicted_log.events != actual_log.events || !rd_samples_agree(&predicted, &actual) {
@@ -363,26 +377,12 @@ impl RdFastPath {
     /// answer landing at the same instant as an unshifted one makes the
     /// channel order simulator-dependent, so that cell refuses — except
     /// at zero delay, where nothing moved and the calibrated order holds.
-    pub fn run(&self, delay_ms: u64, rep: u32) -> Option<RdSample> {
-        self.run_detailed(delay_ms, rep).ok()
+    /// Sample, refusal and purity as in [`CadFastPath::cell`].
+    pub fn cell(&self, delay_ms: u64) -> Result<RdSample, &'static str> {
+        self.cell_logged(delay_ms).map(|(sample, _)| sample)
     }
 
-    /// Like [`RdFastPath::run`], but surfaces the refusal reason; see
-    /// [`CadFastPath::run_detailed`].
-    pub fn run_detailed(&self, delay_ms: u64, rep: u32) -> Result<RdSample, &'static str> {
-        match self.run_logged(delay_ms, rep) {
-            Ok((sample, _)) => {
-                note_fast_run();
-                Ok(sample)
-            }
-            Err(reason) => {
-                note_fallback(reason);
-                Err(reason)
-            }
-        }
-    }
-
-    fn run_logged(&self, delay_ms: u64, rep: u32) -> Result<(RdSample, HeLog), &'static str> {
+    fn cell_logged(&self, delay_ms: u64) -> Result<(RdSample, HeLog), &'static str> {
         let delay = Duration::from_millis(delay_ms);
         let mut dns: Vec<Arrival<'_>> = self
             .base
@@ -426,7 +426,7 @@ impl RdFastPath {
             .map(|t| t.as_nanos() as f64 / 1e6);
         let sample = RdSample {
             configured_delay_ms: delay_ms,
-            rep,
+            rep: 0,
             family: run.result.as_ref().ok().map(|w| w.family),
             first_attempt_ms,
             used_rd: run.log.used_resolution_delay(),
@@ -446,14 +446,21 @@ pub fn run_rd_case_fast(profile: &ClientProfile, cfg: &RdCaseConfig, seed: u64) 
     let fp = RdFastPath::calibrate(profile, cfg.delayed, seed, &verify);
     let mut out = Vec::new();
     for delay_ms in delays {
+        let cell = fp.as_ref().map(|fp| {
+            book_cell();
+            fp.cell(delay_ms)
+        });
         for rep in 0..cfg.repetitions {
-            let sample = fp
-                .as_ref()
-                .and_then(|fp| fp.run(delay_ms, rep))
-                .unwrap_or_else(|| {
+            if let Some(cell) = &cell {
+                book_run(cell);
+            }
+            let sample = match &cell {
+                Some(Ok(sample)) => RdSample { rep, ..*sample },
+                _ => {
                     let run_seed = derive_case_seed(seed, RD_SEED_TAG, delay_ms, rep);
                     run_rd_once(profile, cfg.delayed, delay_ms, rep, run_seed)
-                });
+                }
+            };
             out.push(sample);
         }
     }
@@ -583,7 +590,7 @@ mod tests {
                 check_cell(
                     &mut refusals,
                     format!("{id} cad {delay_ms}"),
-                    cad.run_logged(delay_ms, 0)
+                    cad.cell_logged(delay_ms)
                         .map(|(s, log)| (format!("{s:?}"), log)),
                     || {
                         let (s, log) = run_cad_once_log(&profile, delay_ms, 0, seed);
@@ -595,7 +602,7 @@ mod tests {
                     check_cell(
                         &mut refusals,
                         format!("{id} rd-{delayed:?} {delay_ms}"),
-                        fp.run_logged(delay_ms, 0)
+                        fp.cell_logged(delay_ms)
                             .map(|(s, log)| (format!("{s:?}"), log)),
                         || {
                             let (s, log) = run_rd_once_log(&profile, *delayed, delay_ms, 0, seed);

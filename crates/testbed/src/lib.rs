@@ -22,7 +22,9 @@ pub use cases::{
     CadCaseConfig, DelayedRecord, RdCaseConfig, ResolverCaseConfig, SelectionCaseConfig, SweepSpec,
     TestbedConfig,
 };
-pub use fastpath::{run_cad_case_fast, run_rd_case_fast, CadFastPath, RdFastPath};
+pub use fastpath::{
+    book_cell, book_run, run_cad_case_fast, run_rd_case_fast, CadFastPath, RdFastPath,
+};
 pub use features::{evaluate_client_features, FeatureRow};
 pub use runner::{
     delayed_record_label, derive_case_seed, run_cad_case, run_cad_case_traced, run_cad_once,

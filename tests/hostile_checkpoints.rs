@@ -1,16 +1,18 @@
-//! Property-based hostile-input tests for the files the CLI loads back:
-//! the two resumable state files (campaign checkpoints and fleet
-//! partials) and flight-recorder bundles. Arbitrary bytes and byte-level
-//! mutations of a valid file must parse to `Ok` or `Err`, never panic.
+//! Property-based hostile-input tests for the files the CLI loads: the
+//! two resumable state files (campaign checkpoints and fleet partials),
+//! flight-recorder bundles, campaign and fleet specs, and the campaign and
+//! fleet reports `--diff` reads. Arbitrary bytes and byte-level mutations
+//! of a valid file must parse to `Ok` or `Err`, never panic — and so must
+//! what the CLI does next with a parsed spec or report.
 
 use std::sync::OnceLock;
 
 use lazyeye_campaign::forensics::{capture_trace, provenance};
 use lazyeye_campaign::{
-    expand, run_shard, CampaignSpec, Checkpoint, NetemSpec, RdPlan, RunProvenance, SelectionPlan,
-    Shard,
+    build_report_with, diff_reports, expand, run_campaign_resumable, run_shard, CampaignReport,
+    CampaignSpec, Checkpoint, NetemSpec, RdPlan, RunContext, RunProvenance, SelectionPlan, Shard,
 };
-use lazyeye_fleet::{run_fleet_shard, FleetCheckpoint, FleetSpec};
+use lazyeye_fleet::{diff_report_strs, run_fleet, run_fleet_shard, FleetCheckpoint, FleetSpec};
 use lazyeye_json::{FromJson, Json, ToJson};
 use lazyeye_obs::bundle::Bundle;
 use lazyeye_obs::recorder::Recorder;
@@ -127,6 +129,149 @@ fn bundle_text() -> &'static str {
     })
 }
 
+/// A small valid campaign spec with every block set.
+fn small_campaign_spec() -> CampaignSpec {
+    CampaignSpec {
+        name: "hostile".into(),
+        seed: 3,
+        clients: vec!["chrome-130.0".into(), "safari-17.6".into()],
+        resolvers: vec!["BIND".into()],
+        cad: Some(CadCaseConfig {
+            sweep: SweepSpec::new(250, 350, 50),
+            repetitions: 1,
+        }),
+        rd: Some(RdPlan {
+            records: vec![DelayedRecord::Aaaa, DelayedRecord::A],
+            sweep: SweepSpec::new(0, 100, 50),
+            repetitions: 1,
+        }),
+        selection: Some(SelectionPlan {
+            repetitions: 1,
+            ..SelectionPlan::default()
+        }),
+        resolver: Some(ResolverCaseConfig {
+            sweep: SweepSpec::new(0, 400, 400),
+            repetitions: 1,
+        }),
+        refine_step_ms: Some(25),
+        ..CampaignSpec::default()
+    }
+}
+
+/// A small valid fleet spec.
+fn small_fleet_spec() -> FleetSpec {
+    FleetSpec {
+        name: "hostile".into(),
+        seed: 3,
+        population: vec!["firefox-130.0".to_string()],
+        cad_sessions: 1,
+        rd_sessions: 1,
+        rd_a_sessions: 1,
+        repetitions: 1,
+        resolver_checks: 1,
+        ..FleetSpec::default()
+    }
+}
+
+/// A valid classified campaign report of [`small_campaign_spec`].
+fn campaign_report() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let spec = small_campaign_spec();
+        let (runs, outputs) =
+            run_campaign_resumable(&spec, 1, &Default::default(), |_, _| {}, |_, _| {}).unwrap();
+        build_report_with(&spec, &runs, &outputs, true).to_json()
+    })
+}
+
+/// A valid fleet report of [`small_fleet_spec`].
+fn fleet_report() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        run_fleet(&small_fleet_spec(), 1, |_, _| {})
+            .unwrap()
+            .to_json()
+    })
+}
+
+/// Expansions larger than this are not built: a mutated digit can ask
+/// for millions of runs, which is a valid spec, not a hostile one.
+const SMALL_PLAN: u128 = 20_000;
+
+/// An upper bound on the number of runs `spec` expands to, counted
+/// without expanding: an empty client or resolver list means every
+/// profile.
+fn campaign_plan_size(spec: &CampaignSpec) -> u128 {
+    let points =
+        |s: &SweepSpec| u128::from(s.end_ms.saturating_sub(s.start_ms) / s.step_ms.max(1)) + 1;
+    let clients = spec.clients.len().max(64) as u128;
+    let conditions = spec.netem.len().max(1) as u128;
+    let resolvers = spec.resolvers.len().max(16) as u128;
+    let cad = spec
+        .cad
+        .as_ref()
+        .map_or(0, |c| points(&c.sweep) * u128::from(c.repetitions));
+    let rd = spec.rd.as_ref().map_or(0, |r| {
+        points(&r.sweep) * u128::from(r.repetitions) * r.records.len() as u128
+    });
+    let selection = spec
+        .selection
+        .as_ref()
+        .map_or(0, |s| u128::from(s.repetitions));
+    let resolver = spec.resolver.as_ref().map_or(0, |r| {
+        points(&r.sweep) * u128::from(r.repetitions) * resolvers
+    });
+    conditions * (clients * (cad + rd + selection) + resolver)
+}
+
+/// An upper bound on the number of sessions `spec` expands to, counted
+/// without expanding: an empty population means every member.
+fn fleet_plan_size(spec: &FleetSpec) -> u128 {
+    let members = spec.population.len().max(64) as u128 * spec.conditions.len().max(1) as u128;
+    let per_member = [spec.cad_sessions, spec.rd_sessions, spec.rd_a_sessions]
+        .into_iter()
+        .map(u128::from)
+        .sum::<u128>();
+    members * per_member + 2 * u128::from(spec.resolver_checks)
+}
+
+/// Loads a campaign spec the way `lazyeye campaign --config` does, up to
+/// execution.
+fn load_campaign_spec(text: &str) {
+    if let Ok(spec) = CampaignSpec::from_json(text) {
+        if campaign_plan_size(&spec) <= SMALL_PLAN {
+            let _ = expand(&spec);
+            let _ = RunContext::new(&spec);
+        }
+    }
+}
+
+/// Loads a fleet spec the way `lazyeye fleet --spec` does, up to
+/// execution.
+fn load_fleet_spec(text: &str) {
+    if let Ok(spec) = FleetSpec::from_json(text) {
+        if fleet_plan_size(&spec) <= SMALL_PLAN {
+            let _ = lazyeye_fleet::expand(&spec);
+        }
+    }
+}
+
+/// Loads a campaign report the way `lazyeye campaign --diff` does, and
+/// diffs it against the valid one both ways.
+fn load_campaign_report(text: &str) {
+    if let Ok(report) = CampaignReport::from_json_str(text) {
+        let valid = CampaignReport::from_json_str(campaign_report()).unwrap();
+        let _ = diff_reports(&valid, &report);
+        let _ = diff_reports(&report, &valid);
+    }
+}
+
+/// Loads a fleet report the way `lazyeye fleet --diff` does, both ways.
+fn load_fleet_report(text: &str) {
+    let _ = diff_report_strs(fleet_report(), text);
+    let _ = diff_report_strs(text, fleet_report());
+}
+
 /// Loads `text` the way `lazyeye replay` does, up to re-execution.
 fn load_bundle(text: &str) {
     if let Ok(bundle) = Bundle::from_json_str(text) {
@@ -174,6 +319,18 @@ fn valid_files_parse() {
     assert_eq!(p.condition, "lossy");
     assert!(!Trace::from_json(&bundle.trace).unwrap().events.is_empty());
     assert_eq!(bundle.to_json_string(), bundle_text());
+
+    let spec_text = small_campaign_spec().to_json();
+    let spec = CampaignSpec::from_json(&spec_text).unwrap();
+    assert!(campaign_plan_size(&spec) >= expand(&spec).unwrap().len() as u128);
+    let fleet_text = small_fleet_spec().to_json();
+    let fleet = FleetSpec::from_json(&fleet_text).unwrap();
+    let plan = lazyeye_fleet::expand(&fleet).unwrap();
+    assert!(fleet_plan_size(&fleet) >= plan.sessions.len() as u128);
+    let report = CampaignReport::from_json_str(campaign_report()).unwrap();
+    assert!(report.inference.is_some());
+    assert!(diff_reports(&report, &report).is_empty());
+    assert!(diff_report_strs(fleet_report(), fleet_report()).is_ok());
 }
 
 proptest! {
@@ -183,6 +340,10 @@ proptest! {
         let _ = Checkpoint::from_json_str(&text);
         let _ = FleetCheckpoint::from_json_str(&text);
         load_bundle(&text);
+        load_campaign_spec(&text);
+        load_fleet_spec(&text);
+        load_campaign_report(&text);
+        load_fleet_report(&text);
     }
 
     #[test]
@@ -204,5 +365,33 @@ proptest! {
         edits in proptest::collection::vec(arb_edit(), 1..4),
     ) {
         load_bundle(&mutate(bundle_text(), &edits));
+    }
+
+    #[test]
+    fn campaign_spec_loader_never_panics_on_mutated_valid_spec(
+        edits in proptest::collection::vec(arb_edit(), 1..4),
+    ) {
+        load_campaign_spec(&mutate(&small_campaign_spec().to_json(), &edits));
+    }
+
+    #[test]
+    fn fleet_spec_loader_never_panics_on_mutated_valid_spec(
+        edits in proptest::collection::vec(arb_edit(), 1..4),
+    ) {
+        load_fleet_spec(&mutate(&small_fleet_spec().to_json(), &edits));
+    }
+
+    #[test]
+    fn campaign_report_loader_never_panics_on_mutated_valid_report(
+        edits in proptest::collection::vec(arb_edit(), 1..4),
+    ) {
+        load_campaign_report(&mutate(campaign_report(), &edits));
+    }
+
+    #[test]
+    fn fleet_report_loader_never_panics_on_mutated_valid_report(
+        edits in proptest::collection::vec(arb_edit(), 1..4),
+    ) {
+        load_fleet_report(&mutate(fleet_report(), &edits));
     }
 }
