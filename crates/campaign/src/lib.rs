@@ -22,8 +22,10 @@
 //!    feature-matrix roll-up.
 //! 7. **[`checkpoint`]** — resumable progress (`--checkpoint`/
 //!    `--resume`) and multi-machine sharding (`--shard i/n` +
-//!    `--merge`): completed run outputs serialise to JSON and fold back
-//!    losslessly.
+//!    `--merge`): a [`Checkpoint`] is the shared
+//!    [`lazyeye_exec::Partial`] state for campaigns, whose state, shard
+//!    loop, merge and stitch are written once in `lazyeye-exec`; this
+//!    crate supplies the [`RunOutput`] JSON mapping.
 //!
 //! **Determinism contract:** the report is a pure function of
 //! `(CampaignSpec, seed)`. Worker count, scheduling, steal patterns,
@@ -68,8 +70,10 @@ pub mod spec;
 
 use std::collections::BTreeMap;
 
+use lazyeye_exec::{check_kinds, run_stitched};
+
 pub use aggregate::{Aggregator, CellReport, FeatureSummary, P2Quantile, StreamStats};
-pub use checkpoint::{merge_checkpoints, Checkpoint, Shard};
+pub use checkpoint::{merge_checkpoints, Campaign, Checkpoint, Shard};
 pub use executor::{execute, execute_with, run_one, RunContext, RunOutput};
 pub use forensics::{replay, ReplayReport, RunProvenance};
 pub use inference::{build_inference, InferenceSection, InferredClientReport};
@@ -136,7 +140,8 @@ pub fn run_campaign_resumable(
 }
 
 /// [`run_campaign_resumable`] with the analytic fast path toggled by
-/// `fast_path` (see [`run_campaign_with`]).
+/// `fast_path` (see [`run_campaign_with`]). A stored output whose kind
+/// does not match its run is refused before anything folds it.
 pub fn run_campaign_resumable_with(
     spec: &CampaignSpec,
     jobs: usize,
@@ -147,42 +152,35 @@ pub fn run_campaign_resumable_with(
 ) -> Result<(Vec<RunSpec>, Vec<RunOutput>), SpecError> {
     let pass1 = expand(spec)?;
     let ctx = RunContext::new_with(spec, &pass1, fast_path)?;
+    check_kinds::<Campaign>(&pass1, completed).map_err(SpecError::new)?;
 
-    let pending1: Vec<RunSpec> = pass1
-        .iter()
-        .filter(|r| !completed.contains_key(&r.index))
-        .cloned()
-        .collect();
-    let mut total = pending1.len();
+    let mut base = 0;
     let pass1_span = lazyeye_obs::trace::wall_span("campaign.pass1");
-    let out1 = execute_with(
-        &ctx,
-        &pending1,
-        jobs,
-        |done, _| progress(done, total),
-        |pos, out| on_result(&pending1[pos], out),
+    let outputs1 = run_stitched::<Campaign>(
+        &pass1,
+        completed,
+        |pending, hook| {
+            base = pending.len();
+            execute_pending(&ctx, pending, jobs, &mut progress, hook)
+        },
+        &mut on_result,
     );
-    let outputs1 = stitch(&pass1, completed, out1);
     drop(pass1_span);
 
+    // The refinement pass extends the progress total past the first.
     let pass2 = refine::plan_refinement(spec, &pass1, &outputs1);
     forensics::on_refinement_brackets(spec, &pass2);
-    let pending2: Vec<RunSpec> = pass2
-        .iter()
-        .filter(|r| !completed.contains_key(&r.index))
-        .cloned()
-        .collect();
-    total += pending2.len();
-    let base = pending1.len();
+    check_kinds::<Campaign>(&pass2, completed).map_err(SpecError::new)?;
     let _refine_span = lazyeye_obs::trace::wall_span("campaign.refine");
-    let out2 = execute_with(
-        &ctx,
-        &pending2,
-        jobs,
-        |done, _| progress(base + done, total),
-        |pos, out| on_result(&pending2[pos], out),
+    let outputs2 = run_stitched::<Campaign>(
+        &pass2,
+        completed,
+        |pending, hook| {
+            let progress = |done, total| progress(base + done, base + total);
+            execute_pending(&ctx, pending, jobs, progress, hook)
+        },
+        on_result,
     );
-    let outputs2 = stitch(&pass2, completed, out2);
 
     let mut runs = pass1;
     runs.extend(pass2);
@@ -191,21 +189,17 @@ pub fn run_campaign_resumable_with(
     Ok((runs, outputs))
 }
 
-/// Interleaves stored outputs with freshly executed ones, restoring run
-/// order: `fresh` holds outputs for exactly the runs absent from
-/// `completed`, in run order.
-fn stitch(
-    runs: &[RunSpec],
-    completed: &BTreeMap<u64, RunOutput>,
-    fresh: Vec<RunOutput>,
+/// Executes the `pending` runs through [`execute_with`], reporting each
+/// result by position to `on_result`.
+fn execute_pending(
+    ctx: &RunContext,
+    pending: &[&RunSpec],
+    jobs: usize,
+    progress: impl FnMut(usize, usize),
+    on_result: &mut dyn FnMut(usize, &RunOutput),
 ) -> Vec<RunOutput> {
-    let mut fresh = fresh.into_iter();
-    runs.iter()
-        .map(|r| match completed.get(&r.index) {
-            Some(stored) => stored.clone(),
-            None => fresh.next().expect("one fresh output per pending run"),
-        })
-        .collect()
+    let runs: Vec<RunSpec> = pending.iter().map(|&run| run.clone()).collect();
+    execute_with(ctx, &runs, jobs, progress, on_result)
 }
 
 /// Folds `(run, output)` pairs — as returned by
@@ -253,11 +247,12 @@ pub fn build_report_with(
 /// Executes one shard of a campaign's **first pass** — runs with
 /// `index % shard.count == shard.index` — and returns the partial state
 /// for [`merge_checkpoints`]. Prior progress in `resume_from` (a partial
-/// checkpoint of the *same* shard) is kept and skipped over.
+/// checkpoint of the *same* shard) is kept and skipped over. `on_record`
+/// sees the partial after every completed run (wire periodic saves here).
 ///
 /// Shards deliberately stop before the refinement pass: the refinement
 /// plan needs every first-pass cell, which no single shard has. The merge
-/// side ([`finish_from_checkpoint`]) runs it — the fine pass is a few
+/// side ([`finish_from_checkpoint_with`]) runs it — the fine pass is a few
 /// dozen runs where the coarse pass is hundreds, so distributing it buys
 /// nothing.
 pub fn run_shard(
@@ -265,8 +260,8 @@ pub fn run_shard(
     jobs: usize,
     shard: Shard,
     resume_from: Option<Checkpoint>,
-    mut progress: impl FnMut(usize, usize),
-    mut on_result: impl FnMut(&Checkpoint),
+    progress: impl FnMut(usize, usize),
+    on_record: impl FnMut(&Checkpoint),
 ) -> Result<Checkpoint, SpecError> {
     let pass1 = expand(spec)?;
     let ctx = RunContext::new(spec)?;
@@ -280,50 +275,30 @@ pub fn run_shard(
                     "resume: checkpoint was produced under a different shard",
                 ));
             }
-            c.validate_shape(pass1.len() as u64)?;
+            c.validate_shape(pass1.len() as u64)
+                .map_err(SpecError::new)?;
             c
         }
         None => Checkpoint::new(spec.clone(), pass1.len() as u64, Some(shard)),
     };
-    let pending: Vec<RunSpec> = pass1
-        .iter()
-        .filter(|r| shard.owns(r.index) && !ckpt.completed().contains_key(&r.index))
-        .cloned()
-        .collect();
-    let total = pending.len();
-    let _ = execute_with(
-        &ctx,
-        &pending,
-        jobs,
-        |done, _| progress(done, total),
-        |pos, out| {
-            ckpt.record(pending[pos].index, out.clone());
-            on_result(&ckpt);
-        },
+    ckpt.run_pending(
+        &pass1,
+        |pending, hook| execute_pending(&ctx, pending, jobs, progress, hook),
+        on_record,
     );
     Ok(ckpt)
 }
 
 /// Finishes a campaign from stored state: executes whatever the
 /// checkpoint is missing (first pass and refinement pass), and builds the
-/// canonical report — byte-identical to an uninterrupted run.
+/// canonical report — byte-identical to an uninterrupted run — with the
+/// inference section toggled by `classify` (see [`build_report_with`]).
 ///
 /// This is both `--resume` (an interrupted checkpoint) and the tail of
 /// `--merge` (a union of shard partials). Missing first-pass runs are
 /// executed locally, so a merge of incomplete partials still produces the
-/// canonical report — check [`Checkpoint::missing_pass1`] first if you
-/// want to warn instead.
-pub fn finish_from_checkpoint(
-    ckpt: &Checkpoint,
-    jobs: usize,
-    progress: impl FnMut(usize, usize),
-    on_result: impl FnMut(&RunSpec, &RunOutput),
-) -> Result<CampaignReport, SpecError> {
-    finish_from_checkpoint_with(ckpt, jobs, false, progress, on_result)
-}
-
-/// [`finish_from_checkpoint`] with the inference section toggled by
-/// `classify` (see [`build_report_with`]).
+/// canonical report — check [`Checkpoint::missing`] first if you want to
+/// warn instead.
 pub fn finish_from_checkpoint_with(
     ckpt: &Checkpoint,
     jobs: usize,
@@ -331,11 +306,12 @@ pub fn finish_from_checkpoint_with(
     progress: impl FnMut(usize, usize),
     on_result: impl FnMut(&RunSpec, &RunOutput),
 ) -> Result<CampaignReport, SpecError> {
-    let spec = ckpt.spec.clone();
-    ckpt.validate_shape(expand(&spec)?.len() as u64)?;
+    let spec = &ckpt.spec;
+    ckpt.validate_shape(expand(spec)?.len() as u64)
+        .map_err(SpecError::new)?;
     let (runs, outputs) =
-        run_campaign_resumable(&spec, jobs, ckpt.completed(), progress, on_result)?;
-    Ok(build_report_with(&spec, &runs, &outputs, classify))
+        run_campaign_resumable(spec, jobs, ckpt.completed(), progress, on_result)?;
+    Ok(build_report_with(spec, &runs, &outputs, classify))
 }
 
 // Send-safety audit: the executor moves run specs into worker threads and

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use lazyeye_campaign::{
-    expand, finish_from_checkpoint, merge_checkpoints, run_campaign, run_campaign_resumable,
+    expand, finish_from_checkpoint_with, merge_checkpoints, run_campaign, run_campaign_resumable,
     run_shard, CampaignSpec, Checkpoint, NetemSpec, RdPlan, Shard,
 };
 use lazyeye_testbed::{switchover_bracket, CadCaseConfig, DelayedRecord, SweepSpec};
@@ -94,7 +94,7 @@ fn resume_after_kill_reproduces_the_report_byte_for_byte() {
     // The checkpoint survives a disk round-trip, then finishes the
     // campaign: the report must not differ in a single byte.
     let reloaded = Checkpoint::from_json_str(&ckpt.to_json_string()).unwrap();
-    let resumed = finish_from_checkpoint(&reloaded, 4, |_, _| {}, |_, _| {}).unwrap();
+    let resumed = finish_from_checkpoint_with(&reloaded, 4, false, |_, _| {}, |_, _| {}).unwrap();
     assert_eq!(resumed.to_json(), uninterrupted.to_json());
     assert_eq!(resumed.to_csv(), uninterrupted.to_csv());
     assert_eq!(resumed.render_text(), uninterrupted.render_text());
@@ -120,7 +120,7 @@ fn resume_can_span_both_passes() {
     for (run, out) in runs.iter().zip(&outputs).take(runs.len() - 2) {
         ckpt.record(run.index, out.clone());
     }
-    let resumed = finish_from_checkpoint(&ckpt, 2, |_, _| {}, |_, _| {}).unwrap();
+    let resumed = finish_from_checkpoint_with(&ckpt, 2, false, |_, _| {}, |_, _| {}).unwrap();
     assert_eq!(resumed.to_json(), uninterrupted.to_json());
 }
 
@@ -135,14 +135,14 @@ fn shard_and_merge_reproduces_the_report_byte_for_byte() {
         .map(|i| {
             let shard = Shard { index: i, count: 3 };
             let part = run_shard(&spec, 2, shard, None, |_, _| {}, |_| {}).unwrap();
-            assert!(part.missing_pass1().is_empty(), "shard {i} completed");
+            assert!(part.missing().is_empty(), "shard {i} completed");
             Checkpoint::from_json_str(&part.to_json_string()).unwrap()
         })
         .collect();
 
     let merged = merge_checkpoints(partials).unwrap();
-    assert!(merged.missing_pass1().is_empty(), "shards cover pass 1");
-    let report = finish_from_checkpoint(&merged, 4, |_, _| {}, |_, _| {}).unwrap();
+    assert!(merged.missing().is_empty(), "shards cover pass 1");
+    let report = finish_from_checkpoint_with(&merged, 4, false, |_, _| {}, |_, _| {}).unwrap();
     assert_eq!(report.to_json(), single.to_json());
     assert_eq!(report.to_csv(), single.to_csv());
 }
@@ -154,7 +154,7 @@ fn shard_resume_skips_its_own_completed_runs() {
     let full = run_shard(&spec, 2, shard, None, |_, _| {}, |_| {}).unwrap();
 
     // A half-finished shard checkpoint (even completed indices dropped).
-    let mut partial = Checkpoint::new(spec.clone(), full.pass1_runs, Some(shard));
+    let mut partial = Checkpoint::new(spec.clone(), full.planned, Some(shard));
     for (i, (&index, out)) in full.completed().iter().enumerate() {
         if i % 2 == 0 {
             partial.record(index, out.clone());
@@ -181,7 +181,7 @@ fn shard_resume_skips_its_own_completed_runs() {
 
 #[test]
 fn merge_of_incomplete_partials_backfills_deterministically() {
-    // One shard missing entirely: finish_from_checkpoint executes the
+    // One shard missing entirely: finish_from_checkpoint_with executes the
     // gap locally and the canonical report still comes out.
     let spec = coarse_spec(23);
     let single = run_campaign(&spec, 1, |_, _| {}).unwrap();
@@ -195,8 +195,8 @@ fn merge_of_incomplete_partials_backfills_deterministically() {
     )
     .unwrap();
     let merged = merge_checkpoints([part0]).unwrap();
-    assert!(!merged.missing_pass1().is_empty());
-    let report = finish_from_checkpoint(&merged, 2, |_, _| {}, |_, _| {}).unwrap();
+    assert!(!merged.missing().is_empty());
+    let report = finish_from_checkpoint_with(&merged, 2, false, |_, _| {}, |_, _| {}).unwrap();
     assert_eq!(report.to_json(), single.to_json());
 }
 
@@ -226,5 +226,49 @@ fn refinement_is_off_when_unset_and_report_notes_the_pass_sizes() {
                 "bracket widened: {coarse:?} {fine:?}"
             );
         }
+    }
+}
+
+#[test]
+fn finish_refuses_a_stale_shape_and_outputs_of_the_wrong_kind() {
+    let spec = coarse_spec(31);
+    let (runs, outputs) =
+        run_campaign_resumable(&spec, 2, &BTreeMap::new(), |_, _| {}, |_, _| {}).unwrap();
+    let pass1_runs = expand(&spec).unwrap().len() as u64;
+    let finish = |ckpt: &Checkpoint| {
+        finish_from_checkpoint_with(ckpt, 2, false, |_, _| {}, |_, _| {}).map(|_| ())
+    };
+
+    // A checkpoint saved when the spec expanded differently.
+    let stale = Checkpoint::new(spec.clone(), pass1_runs + 1, None);
+    assert!(finish(&stale).is_err());
+
+    // Swapping a CAD output with an RD output, in the first pass and
+    // then between a refinement run and a resolver run, is refused and
+    // named by index before anything folds it.
+    let index_of = |pred: &dyn Fn(&str, bool) -> bool| {
+        runs.iter()
+            .position(|r| pred(&format!("{:?}", r.kind), r.refined))
+            .unwrap()
+    };
+    let cad = index_of(&|k, refined| k.starts_with("Cad") && !refined);
+    let rd = index_of(&|k, _| k.starts_with("Rd"));
+    let refined = index_of(&|_, refined| refined);
+    let resolver = index_of(&|k, _| k.starts_with("Resolver"));
+    for (a, b) in [(cad, rd), (refined, resolver)] {
+        let mut swapped = Checkpoint::new(spec.clone(), pass1_runs, None);
+        for (i, run) in runs.iter().enumerate() {
+            let j = if i == a {
+                b
+            } else if i == b {
+                a
+            } else {
+                i
+            };
+            swapped.record(run.index, outputs[j].clone());
+        }
+        let err = finish(&swapped).unwrap_err().to_string();
+        let first = runs[a.min(b)].index;
+        assert!(err.contains(&format!("index {first} ")), "{err}");
     }
 }

@@ -19,11 +19,18 @@
 //!   index, so the output vector is independent of scheduling.
 //! - [`Shard`] — the `--shard i/n` arithmetic (`index % n == i`) both
 //!   CLIs use for multi-machine splits, with its JSON mapping.
-//! - [`write_atomic`] — the temp-file + rename write both engines'
-//!   checkpoints save through.
+//! - [`write_atomic`] — the temp-file + rename write every partial state
+//!   saves through.
+//! - [`partial`] — the partial-state layer behind checkpoints, shards,
+//!   merges and resumes: one [`Partial`] state type with its JSON writer,
+//!   parser and atomic save, one [`merge_partials`], one shard loop
+//!   ([`Partial::run_pending`]), one stitch of stored outputs back onto
+//!   the plan ([`run_stitched`]) and one stored-output kind check
+//!   ([`check_kinds`]).
 //!
-//! The engines keep their domain glue (run specs, checkpoints, reports);
-//! only the scheduling-neutral machinery lives here.
+//! The engines keep their domain glue: plans, execution contexts,
+//! reports, and a [`Study`] that maps their spec and output types to
+//! JSON. The scheduling and the partial-state machinery live here.
 
 //! **Arena reuse.** Worker threads live for the whole `execute_indexed`
 //! call, and the simulator keeps a per-thread `lazyeye_sim::SimPool`:
@@ -46,6 +53,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+pub mod partial;
+
+pub use partial::{check_kinds, merge_partials, run_stitched, Partial, Study};
 
 /// Registry handles for the executor's scheduling metrics. Everything
 /// here is wall-clock: steal outcomes and job latencies depend on host

@@ -23,7 +23,9 @@
 //!    over the tier grid), RFC 8305 verdicts, agreement against the
 //!    known profile, resolver-check roll-up, JSON/CSV/text emitters.
 //! 6. **[`checkpoint`]** — `--shard i/n` partials and `--merge`, the
-//!    multi-machine story.
+//!    multi-machine story: a [`FleetCheckpoint`] is the shared
+//!    [`lazyeye_exec::Partial`] state for fleets, whose state, shard loop,
+//!    merge and stitch are written once in `lazyeye-exec`.
 //!
 //! **Determinism contract:** the report is a pure function of
 //! `(FleetSpec, seed)`. `--jobs 1`, `--jobs 8` and any shard/merge split
@@ -45,11 +47,13 @@ pub mod spec;
 
 use std::collections::BTreeMap;
 
-pub use checkpoint::{merge_partials, FleetCheckpoint};
+use lazyeye_exec::{check_kinds, execute_indexed_with, run_stitched};
+
+pub use checkpoint::{Fleet, FleetCheckpoint};
 pub use collect::{CaseAggregate, Collector, TierCell};
 pub use diff::{diff_fleet_reports, diff_report_strs, FleetDiff};
 pub use known::{check_agreement, expected_profile, known_verdicts, KnownAgreement};
-pub use lazyeye_exec::Shard;
+pub use lazyeye_exec::{merge_partials, Shard};
 pub use plan::{derive_session_seed, expand, FleetPlan, SessionKind, SessionSpec};
 pub use profile::{profile_fleet, profile_fleet_plan, FleetBudget, MemberBudgetRow};
 pub use report::{build_report, FleetReport, FleetSummary, MemberReport, ResolverCheckReport};
@@ -58,40 +62,44 @@ pub use spec::{client_key, resolve_members, FleetCondition, FleetSpec, Member};
 
 /// Executes every session of `plan` not already present in `completed`,
 /// fanning out over `jobs` workers, and returns all outputs **in
-/// session-index order** (stored ones stitched back in place).
+/// session-index order** (stored ones stitched back in place). Stored
+/// outputs must match their sessions' kinds ([`check_kinds`]).
 ///
 /// `on_result` fires on the calling thread for each newly executed
-/// session (completion order is scheduling-dependent) — wire shard
-/// partial saves here.
+/// session (completion order is scheduling-dependent).
 pub fn run_sessions(
     spec: &FleetSpec,
     plan: &FleetPlan,
     completed: &BTreeMap<u64, SessionOutput>,
     jobs: usize,
     progress: impl FnMut(usize, usize),
-    mut on_result: impl FnMut(&SessionSpec, &SessionOutput),
+    on_result: impl FnMut(&SessionSpec, &SessionOutput),
 ) -> Vec<SessionOutput> {
     let ctx = SessionContext::new(spec, &plan.members);
-    let pending: Vec<&SessionSpec> = plan
-        .sessions
-        .iter()
-        .filter(|s| !completed.contains_key(&s.index))
-        .collect();
-    let fresh = lazyeye_exec::execute_indexed_with(
+    run_stitched::<Fleet>(
+        &plan.sessions,
+        completed,
+        |pending, hook| execute_pending(&ctx, pending, jobs, progress, hook),
+        on_result,
+    )
+}
+
+/// Runs the `pending` sessions on the shared pool, reporting each result
+/// by position to `on_result`.
+fn execute_pending(
+    ctx: &SessionContext<'_>,
+    pending: &[&SessionSpec],
+    jobs: usize,
+    progress: impl FnMut(usize, usize),
+    on_result: &mut dyn FnMut(usize, &SessionOutput),
+) -> Vec<SessionOutput> {
+    execute_indexed_with(
         pending.len(),
         jobs,
-        |position| run_session(&ctx, pending[position]),
+        |position| run_session(ctx, pending[position]),
         progress,
-        |position, out| on_result(pending[position], out),
-    );
-    let mut fresh = fresh.into_iter();
-    plan.sessions
-        .iter()
-        .map(|s| match completed.get(&s.index) {
-            Some(stored) => stored.clone(),
-            None => fresh.next().expect("one fresh output per pending session"),
-        })
-        .collect()
+        on_result,
+    )
 }
 
 /// Expands, executes and aggregates a fleet in one call.
@@ -106,7 +114,7 @@ pub fn run_fleet(
 }
 
 /// Executes one shard of the fleet — sessions with `index % n == i` —
-/// and returns the partial state for [`merge_partials`]. `on_result`
+/// and returns the partial state for [`merge_partials`]. `on_record`
 /// receives the partial after every completed session (wire periodic
 /// saves here).
 pub fn run_fleet_shard(
@@ -114,28 +122,15 @@ pub fn run_fleet_shard(
     jobs: usize,
     shard: Shard,
     progress: impl FnMut(usize, usize),
-    mut on_result: impl FnMut(&FleetCheckpoint),
+    on_record: impl FnMut(&FleetCheckpoint),
 ) -> Result<FleetCheckpoint, String> {
     let plan = expand(spec)?;
-    let mut ckpt = FleetCheckpoint::new(spec.clone(), plan.sessions.len() as u64, Some(shard));
     let ctx = SessionContext::new(spec, &plan.members);
-    let owned: Vec<&SessionSpec> = plan
-        .sessions
-        .iter()
-        .filter(|s| shard.owns(s.index))
-        .collect();
-    // Record inside the executor hook (completion order; the BTreeMap
-    // keying restores determinism), so a kill mid-shard loses at most the
-    // sessions since the caller's last save.
-    let _ = lazyeye_exec::execute_indexed_with(
-        owned.len(),
-        jobs,
-        |position| run_session(&ctx, owned[position]),
-        progress,
-        |position, out| {
-            ckpt.record(owned[position].index, out.clone());
-            on_result(&ckpt);
-        },
+    let mut ckpt = FleetCheckpoint::new(spec.clone(), plan.sessions.len() as u64, Some(shard));
+    ckpt.run_pending(
+        &plan.sessions,
+        |pending, hook| execute_pending(&ctx, pending, jobs, progress, hook),
+        on_record,
     );
     Ok(ckpt)
 }
@@ -150,6 +145,7 @@ pub fn finish_from_partial(
 ) -> Result<FleetReport, String> {
     let plan = expand(&ckpt.spec)?;
     ckpt.validate_shape(plan.sessions.len() as u64)?;
+    check_kinds::<Fleet>(&plan.sessions, ckpt.completed())?;
     let outputs = run_sessions(
         &ckpt.spec,
         &plan,

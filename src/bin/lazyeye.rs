@@ -29,19 +29,15 @@
 
 use std::collections::HashMap;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use lazy_eye_inspection::campaign::{
-    build_report_with, diff_reports, expand, finish_from_checkpoint_with, fold_row,
-    merge_checkpoints, profile_runs, run_campaign_resumable, run_campaign_resumable_with,
-    run_shard, CampaignReport, CampaignSpec, Checkpoint, InferredClientReport, LatencyBudget,
-    RunOutput, RunSpec, Shard,
+    build_report_with, diff_reports, expand, finish_from_checkpoint_with, fold_row, profile_runs,
+    run_campaign_resumable, run_campaign_resumable_with, run_shard, Campaign, CampaignReport,
+    CampaignSpec, Checkpoint, InferredClientReport, LatencyBudget, Shard,
 };
 use lazy_eye_inspection::clients::{all_measured_clients, ClientProfile};
-use lazy_eye_inspection::exec::write_atomic;
-use lazy_eye_inspection::fleet::{
-    self, merge_partials, run_fleet, run_fleet_shard, FleetCheckpoint, FleetSpec,
-};
+use lazy_eye_inspection::exec::{merge_partials, write_atomic, Partial, Study};
+use lazy_eye_inspection::fleet::{self, run_fleet, run_fleet_shard, Fleet, FleetSpec};
 use lazy_eye_inspection::infer::{
     diff_profiles, fmt_opt, infer_resolver_traces, infer_traces, score_profile, InferredProfile,
     InferredResolverReport,
@@ -512,7 +508,7 @@ fn cmd_infer_dispatch(flags: &Flags, jobs: usize) -> ExitCode {
                 &spec,
                 jobs,
                 &std::collections::BTreeMap::new(),
-                progress_meter("campaign", "runs"),
+                progress_total,
                 |_, _| {},
             );
             let (runs, outputs) = match outcome {
@@ -619,38 +615,54 @@ impl Obs {
     }
 }
 
-/// Progress + ETA to stderr (never into the report: the report must be
-/// byte-identical across --jobs, wall clock included). `label`/`unit`
-/// name the engine and its work item (`campaign`/`runs`,
-/// `fleet`/`sessions`).
-fn progress_meter(label: &'static str, unit: &'static str) -> impl FnMut(usize, usize) {
-    let started = Instant::now();
-    let mut last_percent = 0;
-    let mut last_total = 0;
-    move |done: usize, total: usize| {
-        // Keep the `--progress` reporter's denominator current (the
-        // refinement pass grows it); a relaxed store, free when off.
-        lazy_eye_inspection::obs::progress::set_total(total as u64);
-        if total != last_total {
-            // The total grows when the refinement pass is planned; the
-            // percentage threshold must restart or pass 2 prints nothing.
-            last_total = total;
-            last_percent = 0;
+/// Keeps the `--progress` reporter's denominator current as the
+/// refinement pass grows it; a relaxed store, free when the reporter is
+/// off. The reporter is the only progress output.
+fn progress_total(_done: usize, total: usize) {
+    lazy_eye_inspection::obs::progress::set_total(total as u64);
+}
+
+/// A result hook that saves the partial state it is handed to `path`
+/// (nothing when `None`) every [`CHECKPOINT_EVERY`] results — the shared
+/// cadence of campaign, campaign-shard and fleet-shard runs. The executor
+/// runs result hooks on the calling thread, which is also pool worker 0,
+/// so the hook only serialises and a background thread does the atomic
+/// write; it skips to the newest queued snapshot, so a slow disk delays
+/// saves instead of stalling the run. Dropping the hook waits for the
+/// last write, so a final synchronous save cannot race it.
+fn periodic_save<S: Study>(path: Option<String>) -> impl FnMut(&Partial<S>) {
+    struct Writer(Option<(std::sync::mpsc::Sender<String>, std::thread::JoinHandle<()>)>);
+    impl Drop for Writer {
+        fn drop(&mut self) {
+            if let Some((tx, thread)) = self.0.take() {
+                drop(tx);
+                let _ = thread.join();
+            }
         }
-        let percent = done * 100 / total.max(1);
-        if percent > last_percent || done == total {
-            last_percent = percent;
-            let elapsed = started.elapsed().as_secs_f64();
-            let eta = if done > 0 {
-                elapsed / done as f64 * (total - done) as f64
-            } else {
-                0.0
-            };
-            eprint!(
-                "\r[{label}] {done}/{total} {unit} ({percent:3}%), {elapsed:.1}s elapsed, ETA {eta:.1}s   "
-            );
-            if done == total {
-                eprintln!();
+    }
+    let writer = Writer(path.map(|path| {
+        let (tx, rx) = std::sync::mpsc::channel::<String>();
+        let thread = std::thread::spawn(move || {
+            while let Ok(mut bytes) = rx.recv() {
+                while let Ok(newer) = rx.try_recv() {
+                    bytes = newer;
+                }
+                // A failed periodic save must not kill the run.
+                if let Err(e) = write_atomic(&path, bytes.as_bytes()) {
+                    eprintln!("lazyeye: warning: cannot write {path}: {e}");
+                }
+            }
+        });
+        (tx, thread)
+    }));
+    let mut unsaved = 0;
+    move |part| {
+        unsaved += 1;
+        if unsaved >= CHECKPOINT_EVERY {
+            unsaved = 0;
+            if let Some((tx, _)) = &writer.0 {
+                // Fails only if the writer thread died.
+                let _ = tx.send(part.to_json_string());
             }
         }
     }
@@ -658,122 +670,63 @@ fn progress_meter(label: &'static str, unit: &'static str) -> impl FnMut(usize, 
 
 /// Saves a checkpoint, downgrading failure to a warning: losing a
 /// checkpoint must not kill the campaign producing it.
-fn save_checkpoint(ckpt: &Checkpoint, path: &Option<String>) {
+fn save_checkpoint<S: Study>(part: &Partial<S>, path: Option<&str>) {
     if let Some(path) = path {
-        if let Err(e) = ckpt.save(path) {
+        if let Err(e) = part.save(path) {
             eprintln!("lazyeye: warning: cannot write checkpoint {path}: {e}");
         }
     }
 }
 
-/// Saves a snapshot every [`CHECKPOINT_EVERY`] results — the shared
-/// cadence of campaign, campaign-shard and fleet-shard runs — and writes
-/// it on a background thread. The executor runs result hooks on the
-/// calling thread, which is also pool worker 0, so a save that waited
-/// there for the disk sync would idle a worker; the hook only serialises.
-/// The writer skips to the newest queued snapshot, so a slow disk delays
-/// saves instead of stalling the run. Dropping this waits for the last
-/// write, so a final synchronous save cannot race it.
-struct PeriodicSave {
-    writer: Option<(std::sync::mpsc::Sender<String>, std::thread::JoinHandle<()>)>,
-    unsaved: u64,
+/// What [`emit_report`] needs of a campaign or fleet report.
+trait Report {
+    /// Names the engine in status lines.
+    const LABEL: &'static str;
+    fn json_into(&self, out: &mut String);
+    fn csv_into(&self, out: &mut String);
+    fn text(&self) -> String;
 }
 
-impl PeriodicSave {
-    /// Saves to `path` (nothing when `None`); `what` names the file in
-    /// warnings — a failed periodic save must not kill the run.
-    fn new(path: Option<String>, what: &'static str) -> PeriodicSave {
-        let writer = path.map(|path| {
-            let (tx, rx) = std::sync::mpsc::channel::<String>();
-            let thread = std::thread::spawn(move || {
-                while let Ok(mut bytes) = rx.recv() {
-                    while let Ok(newer) = rx.try_recv() {
-                        bytes = newer;
-                    }
-                    if let Err(e) = write_atomic(&path, bytes.as_bytes()) {
-                        eprintln!("lazyeye: warning: cannot write {what} {path}: {e}");
-                    }
-                }
-            });
-            (tx, thread)
-        });
-        PeriodicSave { writer, unsaved: 0 }
+impl Report for CampaignReport {
+    const LABEL: &'static str = "campaign";
+    fn json_into(&self, out: &mut String) {
+        self.to_json_into(out);
     }
-
-    /// Counts one result; every [`CHECKPOINT_EVERY`]th hands `snapshot()`
-    /// to the writer.
-    fn tick(&mut self, snapshot: impl FnOnce() -> String) {
-        self.unsaved += 1;
-        if self.unsaved >= CHECKPOINT_EVERY {
-            self.save(snapshot);
-        }
+    fn csv_into(&self, out: &mut String) {
+        self.to_csv_into(out);
     }
-
-    /// Hands `snapshot()` to the writer now.
-    fn save(&mut self, snapshot: impl FnOnce() -> String) {
-        self.unsaved = 0;
-        if let Some((tx, _)) = &self.writer {
-            // Fails only if the writer thread died.
-            let _ = tx.send(snapshot());
-        }
+    fn text(&self) -> String {
+        self.render_text()
     }
 }
 
-impl Drop for PeriodicSave {
-    fn drop(&mut self) {
-        if let Some((tx, thread)) = self.writer.take() {
-            drop(tx);
-            let _ = thread.join();
-        }
+impl Report for fleet::FleetReport {
+    const LABEL: &'static str = "fleet";
+    fn json_into(&self, out: &mut String) {
+        self.to_json_into(out);
+    }
+    fn csv_into(&self, out: &mut String) {
+        self.to_csv_into(out);
+    }
+    fn text(&self) -> String {
+        self.render_text()
     }
 }
 
-/// A result hook that saves the checkpoint it is handed with the
-/// [`PeriodicSave`] cadence; dropping it waits for the last write.
-fn periodic_save(path: Option<String>) -> impl FnMut(&Checkpoint) {
-    let mut saves = PeriodicSave::new(path, "checkpoint");
-    move |ckpt| saves.tick(|| ckpt.to_json_string())
-}
-
-/// Accumulates completed runs into a checkpoint with the
-/// [`PeriodicSave`] cadence (plus a final [`Saver::flush`]).
-struct Saver {
-    ckpt: Checkpoint,
-    saves: PeriodicSave,
-}
-
-impl Saver {
-    fn new(ckpt: Checkpoint, path: Option<String>) -> Saver {
-        Saver {
-            ckpt,
-            saves: PeriodicSave::new(path, "checkpoint"),
-        }
-    }
-
-    fn record(&mut self, run: &RunSpec, output: &RunOutput) {
-        self.ckpt.record(run.index, output.clone());
-        let ckpt = &self.ckpt;
-        self.saves.tick(|| ckpt.to_json_string());
-    }
-
-    fn flush(&mut self) {
-        let ckpt = &self.ckpt;
-        self.saves.save(|| ckpt.to_json_string());
-    }
-}
-
-fn emit_report(report: &CampaignReport, format: Format, out: Option<&str>) -> Result<(), String> {
+/// Prints a report in the chosen format, and writes `<out>.json` and
+/// `<out>.csv` when `--out` is set.
+fn emit_report<R: Report>(report: &R, format: Format, out: Option<&str>) -> Result<(), String> {
     // Render each format at most once; stdout and --out reuse the bytes.
     let mut json = String::new();
     let mut csv = String::new();
     if format == Format::Json || out.is_some() {
-        report.to_json_into(&mut json);
+        report.json_into(&mut json);
     }
     if format == Format::Csv || out.is_some() {
-        report.to_csv_into(&mut csv);
+        report.csv_into(&mut csv);
     }
     match format {
-        Format::Text => print!("{}", report.render_text()),
+        Format::Text => print!("{}", report.text()),
         Format::Json => print!("{json}"),
         Format::Csv => print!("{csv}"),
     }
@@ -782,7 +735,7 @@ fn emit_report(report: &CampaignReport, format: Format, out: Option<&str>) -> Re
         let csv_path = format!("{base}.csv");
         std::fs::write(&json_path, &json).map_err(|e| format!("cannot write {json_path}: {e}"))?;
         std::fs::write(&csv_path, &csv).map_err(|e| format!("cannot write {csv_path}: {e}"))?;
-        eprintln!("[campaign] wrote {json_path} and {csv_path}");
+        eprintln!("[{}] wrote {json_path} and {csv_path}", R::LABEL);
     }
     Ok(())
 }
@@ -810,16 +763,18 @@ fn print_budget(text: &str, format: Format) {
     }
 }
 
-/// Writes a shard's partial state to `--out` (as `<base>.json`) or stdout.
-fn emit_partial(part: &Checkpoint, out: Option<&str>) -> Result<(), String> {
+/// Writes a shard's partial state to `--out` (as `<base>.json`, saved
+/// atomically) or stdout; `unit` names what the partial counts.
+fn emit_partial<S: Study>(part: &Partial<S>, unit: &str, out: Option<&str>) -> Result<(), String> {
     let shard = part.shard.expect("partials carry their shard");
     match out {
         Some(base) => {
             let path = format!("{base}.json");
-            std::fs::write(&path, part.to_json_string())
+            part.save(&path)
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!(
-                "[campaign] shard {}/{}: {} first-pass runs completed, wrote {path}",
+                "[{}] shard {}/{}: {} {unit} completed, wrote {path}",
+                S::NAME,
                 shard.index,
                 shard.count,
                 part.completed_runs()
@@ -830,47 +785,51 @@ fn emit_partial(part: &Checkpoint, out: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
+/// Loads the `--merge` partials and unions them, refusing the
+/// `conflicting` flags and warning when the union misses planned items
+/// (`unit` names them), which the caller then executes locally.
+fn load_merged<S: Study>(
+    flags: &Flags,
+    conflicting: &[&str],
+    unit: &str,
+) -> Result<Partial<S>, String> {
+    if let Some(flag) = conflicting.iter().find(|flag| flags.contains(flag)) {
+        return Err(format!("--merge cannot be combined with {flag}"));
+    }
+    let parts = flags
+        .get_all("--merge")
+        .iter()
+        .map(|path| Partial::load(path))
+        .collect::<Result<Vec<_>, _>>()?;
+    let merged = merge_partials(parts).map_err(|e| format!("merge failed: {e}"))?;
+    let missing = merged.missing().len();
+    if missing > 0 {
+        eprintln!(
+            "[{}] warning: {missing} {unit} missing from the partials; executing them locally",
+            S::NAME
+        );
+    }
+    Ok(merged)
+}
+
 fn cmd_campaign_merge(flags: &Flags, jobs: usize, format: Format, classify: bool) -> ExitCode {
-    for conflicting in [
+    let conflicting = [
         "--config",
         "--default",
         "--seed",
         "--shard",
         "--resume",
         "--checkpoint",
-    ] {
-        if flags.contains(conflicting) {
-            return fail(&format!("--merge cannot be combined with {conflicting}"));
-        }
-    }
-    let mut parts = Vec::new();
-    for path in flags.get_all("--merge") {
-        match Checkpoint::load(path) {
-            Ok(p) => parts.push(p),
-            Err(e) => return fail(&e),
-        }
-    }
-    let merged = match merge_checkpoints(parts) {
+    ];
+    let merged = match load_merged::<Campaign>(flags, &conflicting, "first-pass runs") {
         Ok(m) => m,
-        Err(e) => return fail(&format!("merge failed: {e}")),
+        Err(e) => return fail(&e),
     };
-    let missing = merged.missing_pass1().len();
-    if missing > 0 {
-        eprintln!(
-            "[campaign] warning: {missing} first-pass runs missing from the partials; \
-             executing them locally"
-        );
-    }
-    let report = match finish_from_checkpoint_with(
-        &merged,
-        jobs,
-        classify,
-        progress_meter("campaign", "runs"),
-        |_, _| {},
-    ) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("campaign failed: {e}")),
-    };
+    let report =
+        match finish_from_checkpoint_with(&merged, jobs, classify, progress_total, |_, _| {}) {
+            Ok(r) => r,
+            Err(e) => return fail(&format!("campaign failed: {e}")),
+        };
     match emit_report(&report, format, flags.get("--out")) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => fail(&e),
@@ -899,30 +858,49 @@ fn cmd_campaign_diff(paths: &[String], format: Format) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Refuses the flags a shard run has no use for: a partial is always
+/// JSON, and report options apply where the partials are merged.
+fn refuse_report_flags(flags: &Flags) -> Result<(), String> {
+    for (flag, instead) in [
+        ("--format", "partials are always JSON"),
+        ("--classify", "classify at --merge"),
+        ("--fast-path", "it only affects whole local runs"),
+        ("--flamegraph", "profile the merge"),
+    ] {
+        if flags.contains(flag) {
+            return Err(format!("{flag} does not apply to shard runs; {instead}"));
+        }
+    }
+    Ok(())
+}
+
 /// Executes one shard's slice (fresh or resumed) with periodic checkpoint
 /// saves, then emits the partial.
 fn cmd_campaign_shard(
+    flags: &Flags,
     spec: CampaignSpec,
     jobs: usize,
     shard: Shard,
     resume_from: Option<Checkpoint>,
     ckpt_path: Option<String>,
-    out: Option<&str>,
 ) -> ExitCode {
+    if let Err(e) = refuse_report_flags(flags) {
+        return fail(&e);
+    }
     let result = run_shard(
         &spec,
         jobs,
         shard,
         resume_from,
-        progress_meter("campaign", "runs"),
+        progress_total,
         periodic_save(ckpt_path.clone()),
     );
     let part = match result {
         Ok(p) => p,
         Err(e) => return fail(&format!("campaign failed: {e}")),
     };
-    save_checkpoint(&part, &ckpt_path);
-    match emit_partial(&part, out) {
+    save_checkpoint(&part, ckpt_path.as_deref());
+    match emit_partial(&part, "first-pass runs", flags.get("--out")) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => fail(&e),
     }
@@ -951,7 +929,7 @@ fn cmd_campaign_full(
             return fail(&format!("resume: {e}"));
         }
     }
-    let ckpt = resume_from.unwrap_or_else(|| Checkpoint::new(spec.clone(), pass1_runs, None));
+    let mut ckpt = resume_from.unwrap_or_else(|| Checkpoint::new(spec.clone(), pass1_runs, None));
     let completed = ckpt.completed().clone();
     if !completed.is_empty() {
         eprintln!(
@@ -959,20 +937,24 @@ fn cmd_campaign_full(
             completed.len()
         );
     }
-    let mut saver = Saver::new(ckpt, ckpt_path);
+    let mut save = periodic_save(ckpt_path.clone());
     let outcome = run_campaign_resumable_with(
         &spec,
         jobs,
         fast_path,
         &completed,
-        progress_meter("campaign", "runs"),
-        |run, out| saver.record(run, out),
+        progress_total,
+        |run, out| {
+            ckpt.record(run.index, out.clone());
+            save(&ckpt);
+        },
     );
+    drop(save);
     let (runs, outputs) = match outcome {
         Ok(pair) => pair,
         Err(e) => return fail(&format!("campaign failed: {e}")),
     };
-    saver.flush();
+    save_checkpoint(&ckpt, ckpt_path.as_deref());
     let report = build_report_with(&spec, &runs, &outputs, classify);
     if let Err(e) = emit_report(&report, format, out) {
         return fail(&e);
@@ -1274,19 +1256,7 @@ fn cmd_campaign_dispatch(flags: &Flags, jobs: usize) -> ExitCode {
                         Err(e) => return fail(&e),
                     }
                 }
-                if flags.contains("--format") {
-                    return fail("--format does not apply to shard runs; partials are always JSON");
-                }
-                if classify {
-                    return fail("--classify does not apply to shard runs; classify at --merge");
-                }
-                if fast_path {
-                    return fail("--fast-path does not apply to shard runs");
-                }
-                if flamegraph.is_some() {
-                    return fail("--flamegraph does not apply to shard runs; profile the merge");
-                }
-                cmd_campaign_shard(spec, jobs, shard, Some(ckpt), ckpt_path, out)
+                cmd_campaign_shard(flags, spec, jobs, shard, Some(ckpt), ckpt_path)
             }
             None => {
                 if flags.contains("--shard") {
@@ -1337,53 +1307,11 @@ fn cmd_campaign_dispatch(flags: &Flags, jobs: usize) -> ExitCode {
             Ok(s) => s,
             Err(e) => return fail(&e),
         };
-        if flags.contains("--format") {
-            return fail("--format does not apply to --shard runs; partials are always JSON");
-        }
-        if classify {
-            return fail("--classify does not apply to shard runs; classify at --merge");
-        }
-        if fast_path {
-            return fail("--fast-path does not apply to shard runs");
-        }
-        if flamegraph.is_some() {
-            return fail("--flamegraph does not apply to shard runs; profile the merge");
-        }
-        return cmd_campaign_shard(spec, jobs, shard, None, ckpt_path, out);
+        return cmd_campaign_shard(flags, spec, jobs, shard, None, ckpt_path);
     }
     cmd_campaign_full(
         spec, jobs, format, classify, fast_path, None, ckpt_path, out, flamegraph,
     )
-}
-
-/// Emits a fleet report in the chosen format (and to `--out` files).
-fn emit_fleet_report(
-    report: &fleet::FleetReport,
-    format: Format,
-    out: Option<&str>,
-) -> Result<(), String> {
-    // Render each format at most once; stdout and --out reuse the bytes.
-    let mut json = String::new();
-    let mut csv = String::new();
-    if format == Format::Json || out.is_some() {
-        report.to_json_into(&mut json);
-    }
-    if format == Format::Csv || out.is_some() {
-        report.to_csv_into(&mut csv);
-    }
-    match format {
-        Format::Text => print!("{}", report.render_text()),
-        Format::Json => print!("{json}"),
-        Format::Csv => print!("{csv}"),
-    }
-    if let Some(base) = out {
-        let json_path = format!("{base}.json");
-        let csv_path = format!("{base}.csv");
-        std::fs::write(&json_path, &json).map_err(|e| format!("cannot write {json_path}: {e}"))?;
-        std::fs::write(&csv_path, &csv).map_err(|e| format!("cannot write {csv_path}: {e}"))?;
-        eprintln!("[fleet] wrote {json_path} and {csv_path}");
-    }
-    Ok(())
 }
 
 /// Loads a fleet spec from `--spec`/`--default` and applies `--seed`,
@@ -1478,42 +1406,23 @@ fn cmd_fleet_dispatch(flags: &Flags, jobs: usize) -> ExitCode {
         if flamegraph.is_some() {
             return fail("--flamegraph applies to local full fleet runs, not --merge");
         }
-        for conflicting in [
+        let conflicting = [
             "--spec",
             "--default",
             "--seed",
             "--sessions",
             "--reps",
             "--shard",
-        ] {
-            if flags.contains(conflicting) {
-                return fail(&format!("--merge cannot be combined with {conflicting}"));
-            }
-        }
-        let mut parts = Vec::new();
-        for path in flags.get_all("--merge") {
-            match FleetCheckpoint::load(path) {
-                Ok(p) => parts.push(p),
-                Err(e) => return fail(&e),
-            }
-        }
-        let merged = match merge_partials(parts) {
+        ];
+        let merged = match load_merged::<Fleet>(flags, &conflicting, "sessions") {
             Ok(m) => m,
-            Err(e) => return fail(&format!("merge failed: {e}")),
+            Err(e) => return fail(&e),
         };
-        let missing = merged.missing().len();
-        if missing > 0 {
-            eprintln!(
-                "[fleet] warning: {missing} sessions missing from the partials; \
-                 executing them locally"
-            );
-        }
-        let report =
-            match fleet::finish_from_partial(&merged, jobs, progress_meter("fleet", "sessions")) {
-                Ok(r) => r,
-                Err(e) => return fail(&format!("fleet failed: {e}")),
-            };
-        return match emit_fleet_report(&report, format, out) {
+        let report = match fleet::finish_from_partial(&merged, jobs, progress_total) {
+            Ok(r) => r,
+            Err(e) => return fail(&format!("fleet failed: {e}")),
+        };
+        return match emit_report(&report, format, out) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => fail(&e),
         };
@@ -1529,51 +1438,35 @@ fn cmd_fleet_dispatch(flags: &Flags, jobs: usize) -> ExitCode {
             Ok(s) => s,
             Err(e) => return fail(&e),
         };
-        if flags.contains("--format") {
-            return fail("--format does not apply to --shard runs; partials are always JSON");
-        }
-        if flamegraph.is_some() {
-            return fail("--flamegraph does not apply to shard runs; profile the merge");
+        if let Err(e) = refuse_report_flags(flags) {
+            return fail(&e);
         }
         // Save the partial periodically while the shard runs (atomic
         // temp-file + rename), so a kill loses only the sessions finished
         // since the last completed save — the same crash contract as
         // campaign shards.
-        let partial_path = out.map(|base| format!("{base}.json"));
-        let mut saves = PeriodicSave::new(partial_path.clone(), "partial");
         let outcome = run_fleet_shard(
             &spec,
             jobs,
             shard,
-            progress_meter("fleet", "sessions"),
-            move |ckpt| saves.tick(|| ckpt.to_json_string()),
+            progress_total,
+            periodic_save(out.map(|base| format!("{base}.json"))),
         );
         let part = match outcome {
             Ok(p) => p,
             Err(e) => return fail(&format!("fleet failed: {e}")),
         };
-        match &partial_path {
-            Some(path) => {
-                if let Err(e) = part.save(path) {
-                    return fail(&format!("cannot write {path}: {e}"));
-                }
-                eprintln!(
-                    "[fleet] shard {}/{}: {} sessions completed, wrote {path}",
-                    shard.index,
-                    shard.count,
-                    part.completed_sessions()
-                );
-            }
-            None => print!("{}", part.to_json_string()),
-        }
-        return ExitCode::SUCCESS;
+        return match emit_partial(&part, "sessions", out) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => fail(&e),
+        };
     }
 
-    let report = match run_fleet(&spec, jobs, progress_meter("fleet", "sessions")) {
+    let report = match run_fleet(&spec, jobs, progress_total) {
         Ok(r) => r,
         Err(e) => return fail(&format!("fleet failed: {e}")),
     };
-    if let Err(e) = emit_fleet_report(&report, format, out) {
+    if let Err(e) = emit_report(&report, format, out) {
         return fail(&e);
     }
     if let Some(path) = flamegraph {

@@ -60,7 +60,7 @@ fn campaign_checkpoint_is_complete_on_exit_and_resumes_identically() {
     ]);
     assert_no_temp_file(&ckpt);
     let loaded = Checkpoint::load(&ckpt).unwrap();
-    assert!(loaded.missing_pass1().is_empty(), "final save not on disk");
+    assert!(loaded.missing().is_empty(), "final save not on disk");
 
     lazyeye(&[
         "campaign", "--resume", &ckpt, "--jobs", "2", "--out", &resumed,
@@ -96,7 +96,7 @@ fn shard_partials_are_complete_on_exit() {
         &campaign_part,
     ]);
     assert_no_temp_file(&ckpt);
-    assert!(Checkpoint::load(&ckpt).unwrap().missing_pass1().is_empty());
+    assert!(Checkpoint::load(&ckpt).unwrap().missing().is_empty());
 
     // Fleet shards save their partial periodically whenever --out is set.
     let fleet_part = temp_path("fleet-part");

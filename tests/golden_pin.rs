@@ -1,5 +1,6 @@
 //! Golden determinism regression: the byte-exact hash of a fixed-seed
-//! campaign report and fleet grid report is pinned here.
+//! campaign report and fleet grid report is pinned here, and so are the
+//! bytes of the shard partials and checkpoints those engines write.
 //!
 //! These constants were recorded on the *pre-overhaul* scheduler (HashMap
 //! slab + BinaryHeap timers + single `Arc<Mutex>`): the slab/timer-wheel
@@ -11,8 +12,13 @@
 //! If a change legitimately alters measurement *semantics* (not scheduling),
 //! re-pin the constants in the same commit and say why in the message.
 
-use lazy_eye_inspection::campaign::{run_campaign, CampaignSpec, NetemSpec, SelectionPlan};
-use lazy_eye_inspection::fleet::{run_fleet, FleetSpec};
+use std::collections::BTreeMap;
+
+use lazy_eye_inspection::campaign::{
+    expand, run_campaign, run_campaign_resumable, run_shard, CampaignSpec, Checkpoint, NetemSpec,
+    SelectionPlan, Shard,
+};
+use lazy_eye_inspection::fleet::{run_fleet, run_fleet_shard, FleetSpec};
 use lazy_eye_inspection::testbed::{CadCaseConfig, ResolverCaseConfig, SweepSpec};
 
 /// FNV-1a 64-bit over the raw report bytes.
@@ -111,6 +117,81 @@ fn fleet_report_bytes_are_pinned_across_jobs() {
             FLEET_CSV_HASH,
             "fleet CSV hash moved at --jobs {jobs} (got {:#x})",
             fnv1a64(csv.as_bytes())
+        );
+    }
+}
+
+// On-disk partial-state format. Shard partials and checkpoints are read
+// back by `--merge` and `--resume` on other machines and by later builds,
+// so their bytes are pinned like the reports'.
+
+const CAMPAIGN_SHARD_PARTIAL_HASH: u64 = 0x5614_e6e6_c286_dbe8;
+const CAMPAIGN_CHECKPOINT_HASH: u64 = 0x3ab2_35b0_0f4b_aaf9;
+const FLEET_SHARD_PARTIAL_HASH: u64 = 0xcf28_cf47_bdf3_d822;
+
+#[test]
+fn campaign_shard_partial_bytes_are_pinned() {
+    let spec = pinned_campaign_spec();
+    for jobs in [1usize, 4] {
+        let part = run_shard(
+            &spec,
+            jobs,
+            Shard { index: 0, count: 2 },
+            None,
+            |_, _| {},
+            |_| {},
+        )
+        .unwrap();
+        let text = part.to_json_string();
+        assert_eq!(
+            fnv1a64(text.as_bytes()),
+            CAMPAIGN_SHARD_PARTIAL_HASH,
+            "campaign shard 0/2 partial hash moved at --jobs {jobs} (got {:#x})",
+            fnv1a64(text.as_bytes())
+        );
+    }
+}
+
+#[test]
+fn campaign_checkpoint_bytes_are_pinned() {
+    // A finished whole-campaign checkpoint: first pass plus the
+    // refinement pass inside chrome's and curl's CAD brackets.
+    let spec = pinned_campaign_spec();
+    let pass1_runs = expand(&spec).unwrap().len() as u64;
+    for jobs in [1usize, 4] {
+        let mut ckpt = Checkpoint::new(spec.clone(), pass1_runs, None);
+        let completed = BTreeMap::new();
+        let (runs, _) = run_campaign_resumable(
+            &spec,
+            jobs,
+            &completed,
+            |_, _| {},
+            |run, out| ckpt.record(run.index, out.clone()),
+        )
+        .unwrap();
+        assert!(runs.iter().any(|r| r.refined), "no refinement outputs");
+        let text = ckpt.to_json_string();
+        assert_eq!(
+            fnv1a64(text.as_bytes()),
+            CAMPAIGN_CHECKPOINT_HASH,
+            "campaign checkpoint hash moved at --jobs {jobs} (got {:#x})",
+            fnv1a64(text.as_bytes())
+        );
+    }
+}
+
+#[test]
+fn fleet_shard_partial_bytes_are_pinned() {
+    let spec = pinned_fleet_spec();
+    for jobs in [1usize, 4] {
+        let part =
+            run_fleet_shard(&spec, jobs, Shard { index: 1, count: 2 }, |_, _| {}, |_| {}).unwrap();
+        let text = part.to_json_string();
+        assert_eq!(
+            fnv1a64(text.as_bytes()),
+            FLEET_SHARD_PARTIAL_HASH,
+            "fleet shard 1/2 partial hash moved at --jobs {jobs} (got {:#x})",
+            fnv1a64(text.as_bytes())
         );
     }
 }
