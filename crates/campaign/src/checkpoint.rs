@@ -257,6 +257,28 @@ mod tests {
     );
 
     #[test]
+    fn corrupt_checkpoints_error_cleanly() {
+        assert!(Checkpoint::from_json_str("{").is_err());
+        assert!(Checkpoint::from_json_str(r#"{"version": 99}"#).is_err());
+        let mut ckpt = Checkpoint::new(CampaignSpec::default(), 10, None);
+        for (index, output) in sample_outputs() {
+            ckpt.record(index, output);
+        }
+        let valid = ckpt.to_json_string();
+        assert!(Checkpoint::from_json_str(&valid).is_ok());
+        // Every campaign output kind is named in the file; an unknown
+        // one, or a missing plan-size key, is an error, not a panic.
+        for kind in ["cad", "rd", "selection", "resolver"] {
+            let tag = format!("\"kind\": \"{kind}\"");
+            assert!(valid.contains(&tag), "{tag}");
+            let broken = valid.replace(&tag, "\"kind\": \"warp\"");
+            assert!(Checkpoint::from_json_str(&broken).is_err(), "{kind}");
+        }
+        let unsized_ = valid.replace("\"pass1_runs\"", "\"runs\"");
+        assert!(Checkpoint::from_json_str(&unsized_).is_err());
+    }
+
+    #[test]
     fn checkpoint_roundtrips_every_output_kind() {
         let mut ckpt = Checkpoint::new(
             CampaignSpec::default(),
