@@ -354,6 +354,11 @@ fn case_rank(case: &str) -> u8 {
 #[derive(Default)]
 pub struct Aggregator {
     cells: BTreeMap<(u8, String, String), CellAccum>,
+    /// The cell the previous run folded into, held outside `cells` until
+    /// a run of another cell arrives. Expansion lists each cell's runs
+    /// back to back, so almost every run finds its cell here without
+    /// building the cell's key.
+    current: Option<((u8, String, String), CellAccum)>,
 }
 
 impl Aggregator {
@@ -362,22 +367,30 @@ impl Aggregator {
         Aggregator::default()
     }
 
+    /// The accumulator of `kind`'s cell.
+    fn cell(&mut self, kind: &RunKind) -> &mut CellAccum {
+        let (rank, subject, condition) = (
+            case_rank(kind.case()),
+            kind.subject(),
+            kind.cell_condition(),
+        );
+        let hit = matches!(&self.current,
+            Some(((r, s, c), _)) if *r == rank && s == subject && condition == c.as_str());
+        if !hit {
+            let key = (rank, subject.to_string(), condition.to_string());
+            let accum = self.cells.remove(&key).unwrap_or_default();
+            if let Some((key, accum)) = self.current.replace((key, accum)) {
+                self.cells.insert(key, accum);
+            }
+        }
+        &mut self.current.as_mut().expect("current cell set above").1
+    }
+
     /// Folds one run's output into its cell.
     pub fn fold(&mut self, run: &RunSpec, output: &RunOutput) {
         match (&run.kind, output) {
-            (
-                RunKind::Cad {
-                    client,
-                    netem,
-                    delay_ms,
-                    ..
-                },
-                RunOutput::Cad(s),
-            ) => {
-                let cell = self
-                    .cells
-                    .entry((case_rank("cad"), client.clone(), netem.clone()))
-                    .or_default();
+            (RunKind::Cad { delay_ms, .. }, RunOutput::Cad(s)) => {
+                let cell = self.cell(&run.kind);
                 cell.runs += 1;
                 if s.family.is_some() {
                     cell.ok_runs += 1;
@@ -408,16 +421,8 @@ impl Aggregator {
                     }
                 }
             }
-            (
-                RunKind::Rd {
-                    client, delay_ms, ..
-                },
-                RunOutput::Rd(s),
-            ) => {
-                let cell = self
-                    .cells
-                    .entry((case_rank("rd"), client.clone(), run.kind.condition()))
-                    .or_default();
+            (RunKind::Rd { delay_ms, .. }, RunOutput::Rd(s)) => {
+                let cell = self.cell(&run.kind);
                 cell.runs += 1;
                 if s.family.is_some() {
                     cell.ok_runs += 1;
@@ -444,11 +449,8 @@ impl Aggregator {
                     cell.observe_delay(stall);
                 }
             }
-            (RunKind::Selection { client, .. }, RunOutput::Selection(r)) => {
-                let cell = self
-                    .cells
-                    .entry((case_rank("selection"), client.clone(), run.kind.condition()))
-                    .or_default();
+            (RunKind::Selection { .. }, RunOutput::Selection(r)) => {
+                let cell = self.cell(&run.kind);
                 cell.runs += 1;
                 if !r.order.is_empty() {
                     cell.ok_runs += 1;
@@ -458,20 +460,8 @@ impl Aggregator {
                 cell.v6_addrs_used = Some(cell.v6_addrs_used.map_or(v6, |x| x.max(v6)));
                 cell.v4_addrs_used = Some(cell.v4_addrs_used.map_or(v4, |x| x.max(v4)));
             }
-            (
-                RunKind::Resolver {
-                    resolver, delay_ms, ..
-                },
-                RunOutput::Resolver(s),
-            ) => {
-                let cell = self
-                    .cells
-                    .entry((
-                        case_rank("resolver"),
-                        resolver.clone(),
-                        run.kind.condition(),
-                    ))
-                    .or_default();
+            (RunKind::Resolver { delay_ms, .. }, RunOutput::Resolver(s)) => {
+                let cell = self.cell(&run.kind);
                 cell.runs += 1;
                 if s.resolved {
                     cell.ok_runs += 1;
@@ -495,7 +485,10 @@ impl Aggregator {
 
     /// Finalises all cells (sorted by case, subject, condition) and the
     /// feature-matrix roll-up.
-    pub fn finish(self) -> (Vec<CellReport>, Vec<FeatureSummary>) {
+    pub fn finish(mut self) -> (Vec<CellReport>, Vec<FeatureSummary>) {
+        if let Some((key, accum)) = self.current.take() {
+            self.cells.insert(key, accum);
+        }
         let round3 = |x: f64| (x * 1000.0).round() / 1000.0;
         let cells: Vec<CellReport> = self
             .cells

@@ -9,6 +9,7 @@
 //! driving each fast-path cell once per execution ([`CellMemo`]) and
 //! reducing each run to a small [`RunOutput`] on the worker.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::OnceLock;
 
@@ -285,7 +286,7 @@ impl<'c> CellMemo<'c> {
     /// Maps every run of `runs` to its cell, so a run finds its model and
     /// its outcome slot by position alone. Memory grows with the number
     /// of distinct cells, plus one index per run.
-    fn new(ctx: &'c RunContext, runs: &[RunSpec]) -> CellMemo<'c> {
+    fn new<R: Borrow<RunSpec>>(ctx: &'c RunContext, runs: &[R]) -> CellMemo<'c> {
         // Per (client, record): the number of its model, or `None` when
         // no model serves it.
         let mut numbers: HashMap<(&str, Option<DelayedRecord>), Option<u32>> = HashMap::new();
@@ -298,7 +299,8 @@ impl<'c> CellMemo<'c> {
         // where the group changes, and its cell only where the delay does.
         let mut last: Option<(RunCell<'_>, Option<u32>, (u32, u32))> = None;
         for run in runs {
-            let Some(fields @ (client, netem, record, delay_ms)) = run_cell(&run.kind) else {
+            let Some(fields @ (client, netem, record, delay_ms)) = run_cell(&run.borrow().kind)
+            else {
                 cell_of.push(NO_CELL);
                 continue;
             };
@@ -578,13 +580,26 @@ pub fn execute_with(
     progress: impl FnMut(usize, usize),
     on_result: impl FnMut(usize, &RunOutput),
 ) -> Vec<RunOutput> {
+    execute_runs(ctx, runs, jobs, progress, on_result)
+}
+
+/// [`execute_with`] over runs or run references, so a caller holding
+/// `&RunSpec`s (the pending runs of a resume or shard) need not clone
+/// them into a slice first.
+pub(crate) fn execute_runs<R: Borrow<RunSpec> + Sync>(
+    ctx: &RunContext,
+    runs: &[R],
+    jobs: usize,
+    progress: impl FnMut(usize, usize),
+    on_result: impl FnMut(usize, &RunOutput),
+) -> Vec<RunOutput> {
     let memo = (!ctx.fast.is_empty()).then(|| CellMemo::new(ctx, runs));
     execute_indexed_with(
         runs.len(),
         jobs,
         |position| {
             let cell = memo.as_ref().and_then(|memo| memo.cell(position));
-            run_one_with(ctx, &runs[position], cell)
+            run_one_with(ctx, runs[position].borrow(), cell)
         },
         progress,
         on_result,

@@ -23,8 +23,7 @@ use lazyeye_testbed::{
 };
 use lazyeye_trace::Trace;
 
-use crate::executor::RunOutput;
-use crate::inference::InferenceSection;
+use crate::inference::{InferenceSection, ObservationIndex};
 use crate::plan::{RunKind, RunSpec};
 use crate::spec::{CampaignSpec, NetemSpec, SelectionPlan};
 
@@ -73,25 +72,6 @@ lazyeye_json::impl_json_struct!(RunProvenance {
     campaign_seed,
 });
 
-/// Case label of a run kind, matching the aggregation cells.
-fn case_of(kind: &RunKind) -> &'static str {
-    match kind {
-        RunKind::Cad { .. } => "cad",
-        RunKind::Rd { .. } => "rd",
-        RunKind::Selection { .. } => "selection",
-        RunKind::Resolver { .. } => "resolver",
-    }
-}
-
-fn subject_of(kind: &RunKind) -> &str {
-    match kind {
-        RunKind::Cad { client, .. }
-        | RunKind::Rd { client, .. }
-        | RunKind::Selection { client, .. } => client,
-        RunKind::Resolver { resolver, .. } => resolver,
-    }
-}
-
 fn delay_of(kind: &RunKind) -> u64 {
     match kind {
         RunKind::Cad { delay_ms, .. }
@@ -139,8 +119,8 @@ pub fn provenance(spec: &CampaignSpec, run: &RunSpec) -> RunProvenance {
         _ => None,
     };
     RunProvenance {
-        case: case_of(kind).to_string(),
-        subject: subject_of(kind).to_string(),
+        case: kind.case().to_string(),
+        subject: kind.subject().to_string(),
         condition: kind.condition(),
         netem,
         record,
@@ -291,8 +271,8 @@ pub(crate) fn on_refinement_brackets(spec: &CampaignSpec, pass2: &[RunSpec]) {
     for run in pass2 {
         let key = format!(
             "{}:{}:{}",
-            case_of(&run.kind),
-            subject_of(&run.kind),
+            run.kind.case(),
+            run.kind.subject(),
             run.kind.condition()
         );
         cells.entry(key).or_default().push(run);
@@ -327,25 +307,18 @@ pub(crate) fn on_refinement_brackets(spec: &CampaignSpec, pass2: &[RunSpec]) {
 pub(crate) fn on_inference(
     spec: &CampaignSpec,
     runs: &[RunSpec],
-    outputs: &[RunOutput],
+    index: &ObservationIndex,
     section: &InferenceSection,
 ) {
     if !trigger::armed() {
         return;
     }
-    debug_assert_eq!(runs.len(), outputs.len());
-    let observations: Vec<Observation> = runs
-        .iter()
-        .zip(outputs)
-        .map(|(r, o)| crate::inference::observation(r, o))
-        .collect();
-
     for report in &section.profiles {
         let profile = &report.profile;
 
         // --- changepoint misfits: the step model disagrees with runs --
         if profile.cad.misfits > 0 {
-            fire_misfit(spec, runs, &observations, &profile.subject);
+            fire_misfit(spec, runs, index, &profile.subject);
         }
 
         // --- DEVIATES verdicts --------------------------------------
@@ -360,16 +333,15 @@ pub(crate) fn on_inference(
                 // family-preference, query-order, connection-attempt-delay.
                 _ => (CaseKind::Cad, "baseline"),
             };
-            let of_case: Vec<&Observation> = observations
-                .iter()
-                .filter(|o| o.subject == profile.subject && o.case == case)
+            let of_case: Vec<(usize, &Observation)> = index
+                .of(&profile.subject)
+                .filter(|(_, o)| o.case == case)
                 .collect();
-            let Some(cond) = canonical_condition(&of_case, preferred).map(str::to_string) else {
+            let observations: Vec<&Observation> = of_case.iter().map(|&(_, o)| o).collect();
+            let Some(cond) = canonical_condition(&observations, preferred) else {
                 continue;
             };
-            let Some(rep_idx) = observations.iter().position(|o| {
-                o.subject == profile.subject && o.case == case && o.condition == cond
-            }) else {
+            let Some(&(rep_idx, _)) = of_case.iter().find(|(_, o)| *o.condition == *cond) else {
                 continue;
             };
             let p = provenance(spec, &runs[rep_idx]);
@@ -416,20 +388,20 @@ pub(crate) fn on_inference(
 /// Fires the inference-misfit trigger for one subject's canonical CAD
 /// cell: refits the changepoint over the cell's points and picks the
 /// first misclassified run (in run-index order) as representative.
-fn fire_misfit(spec: &CampaignSpec, runs: &[RunSpec], observations: &[Observation], subject: &str) {
-    let cad_obs: Vec<&Observation> = observations
-        .iter()
-        .filter(|o| o.subject == subject && o.case == CaseKind::Cad)
+fn fire_misfit(spec: &CampaignSpec, runs: &[RunSpec], index: &ObservationIndex, subject: &str) {
+    let cad_obs: Vec<(usize, &Observation)> = index
+        .of(subject)
+        .filter(|(_, o)| o.case == CaseKind::Cad)
         .collect();
-    let Some(cond) = canonical_condition(&cad_obs, "baseline").map(str::to_string) else {
+    let observations: Vec<&Observation> = cad_obs.iter().map(|&(_, o)| o).collect();
+    let Some(cond) = canonical_condition(&observations, "baseline") else {
         return;
     };
     // (run index, point) pairs for the canonical cell, in run order.
-    let cell: Vec<(usize, (u64, Family))> = observations
+    let cell: Vec<(usize, (u64, Family))> = cad_obs
         .iter()
-        .enumerate()
-        .filter(|(_, o)| o.subject == subject && o.case == CaseKind::Cad && o.condition == cond)
-        .filter_map(|(i, o)| o.family.map(|f| (i, (o.delay_ms, f))))
+        .filter(|(_, o)| *o.condition == *cond)
+        .filter_map(|&(i, o)| o.family.map(|f| (i, (o.delay_ms, f))))
         .collect();
     let points: Vec<(u64, Family)> = cell.iter().map(|(_, pt)| *pt).collect();
     let fit = detect_switchover(&points);

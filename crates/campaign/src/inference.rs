@@ -12,8 +12,10 @@
 //! carries the field-level [`FieldDelta`]s when they do not (noise, or a
 //! genuinely non-step client behaviour).
 
+use std::sync::Arc;
+
 use lazyeye_infer::{
-    infer_profile, score_profile, CaseKind, ConformanceEntry, FieldDelta, InferredProfile,
+    infer_subject_profile, score_profile, CaseKind, ConformanceEntry, FieldDelta, InferredProfile,
     Observation,
 };
 
@@ -62,60 +64,102 @@ lazyeye_json::impl_json_struct!(InferenceSection {
 /// Reduces one `(run, output)` pair to an inference observation.
 pub fn observation(run: &RunSpec, output: &RunOutput) -> Observation {
     let condition = run.kind.condition();
+    observe(run, output, run.kind.subject().into(), condition.into())
+}
+
+/// [`observation`] with the run's subject and condition labels given.
+fn observe(
+    run: &RunSpec,
+    output: &RunOutput,
+    subject: Arc<str>,
+    condition: Arc<str>,
+) -> Observation {
+    let shell = |case, delay_ms, rep| Observation::shell(case, subject, condition, delay_ms, rep);
     match (&run.kind, output) {
-        (
-            RunKind::Cad {
-                client,
-                delay_ms,
-                rep,
-                ..
-            },
-            RunOutput::Cad(s),
-        ) => {
-            let mut o = Observation::shell(CaseKind::Cad, client, &condition, *delay_ms, *rep);
+        (RunKind::Cad { delay_ms, rep, .. }, RunOutput::Cad(s)) => {
+            let mut o = shell(CaseKind::Cad, *delay_ms, *rep);
             o.family = s.family;
             o.observed_cad_ms = s.observed_cad_ms;
             o.aaaa_first = s.aaaa_first;
             o
         }
-        (
-            RunKind::Rd {
-                client,
-                delay_ms,
-                rep,
-                ..
-            },
-            RunOutput::Rd(s),
-        ) => {
-            let mut o = Observation::shell(CaseKind::Rd, client, &condition, *delay_ms, *rep);
+        (RunKind::Rd { delay_ms, rep, .. }, RunOutput::Rd(s)) => {
+            let mut o = shell(CaseKind::Rd, *delay_ms, *rep);
             o.family = s.family;
             o.first_attempt_ms = s.first_attempt_ms;
             o.used_rd = s.used_rd;
             o
         }
-        (RunKind::Selection { client, rep, .. }, RunOutput::Selection(r)) => {
-            let mut o = Observation::shell(CaseKind::Selection, client, &condition, 0, *rep);
+        (RunKind::Selection { rep, .. }, RunOutput::Selection(r)) => {
+            let mut o = shell(CaseKind::Selection, 0, *rep);
             o.attempt_order = r.order.clone();
             o.v6_addrs_used = r.v6_used as u64;
             o.v4_addrs_used = r.v4_used as u64;
             o
         }
-        (
-            RunKind::Resolver {
-                resolver,
-                delay_ms,
-                rep,
-                ..
-            },
-            RunOutput::Resolver(s),
-        ) => {
-            let mut o =
-                Observation::shell(CaseKind::Resolver, resolver, &condition, *delay_ms, *rep);
+        (RunKind::Resolver { delay_ms, rep, .. }, RunOutput::Resolver(s)) => {
+            let mut o = shell(CaseKind::Resolver, *delay_ms, *rep);
             o.family = s.first_query_family;
             o.observed_cad_ms = s.observed_cad_ms;
             o
         }
         (kind, _) => panic!("run kind/output mismatch for {kind:?}"),
+    }
+}
+
+/// A campaign's observations, built once per report: one per run in
+/// run-index order, bucketed by subject. The observations of one subject
+/// share its label, and those of one cell their condition label, so
+/// building the index allocates per cell, not per run.
+pub(crate) struct ObservationIndex {
+    observations: Vec<Observation>,
+    /// Per subject, in first-appearance order: the positions of its
+    /// observations, ascending.
+    subjects: Vec<(Arc<str>, Vec<usize>)>,
+}
+
+impl ObservationIndex {
+    pub(crate) fn new(runs: &[RunSpec], outputs: &[RunOutput]) -> ObservationIndex {
+        debug_assert_eq!(runs.len(), outputs.len());
+        let mut subjects: Vec<(Arc<str>, Vec<usize>)> = Vec::new();
+        // The previous run's subject bucket and condition label: runs of
+        // one cell arrive back to back, so most runs reuse both.
+        let mut last: Option<(usize, Arc<str>)> = None;
+        let mut observations = Vec::with_capacity(runs.len());
+        for (position, (run, output)) in runs.iter().zip(outputs).enumerate() {
+            let (subject, condition) = (run.kind.subject(), run.kind.cell_condition());
+            let hit = last.as_ref().is_some_and(|(bucket, label)| {
+                *subjects[*bucket].0 == *subject && condition == &**label
+            });
+            if !hit {
+                let bucket = match subjects.iter().position(|(s, _)| **s == *subject) {
+                    Some(bucket) => bucket,
+                    None => {
+                        subjects.push((subject.into(), Vec::new()));
+                        subjects.len() - 1
+                    }
+                };
+                last = Some((bucket, condition.to_string().into()));
+            }
+            let (bucket, label) = last.as_ref().expect("set above on a miss");
+            let (subject, positions) = &mut subjects[*bucket];
+            positions.push(position);
+            observations.push(observe(run, output, Arc::clone(subject), Arc::clone(label)));
+        }
+        ObservationIndex {
+            observations,
+            subjects,
+        }
+    }
+
+    /// `subject`'s observations with their positions, in run order.
+    pub(crate) fn of(&self, subject: &str) -> impl Iterator<Item = (usize, &Observation)> {
+        let positions = self
+            .subjects
+            .iter()
+            .find(|(s, _)| **s == *subject)
+            .map_or(&[][..], |(_, positions)| positions.as_slice());
+        positions.iter().map(|&i| (i, &self.observations[i]))
     }
 }
 
@@ -189,17 +233,23 @@ pub fn build_inference(
     outputs: &[RunOutput],
     features: &[FeatureSummary],
 ) -> InferenceSection {
-    let observations: Vec<Observation> = runs
-        .iter()
-        .zip(outputs)
-        .map(|(r, o)| observation(r, o))
-        .collect();
+    infer_index(&ObservationIndex::new(runs, outputs), features)
+}
 
+/// [`build_inference`] over an already built index: each client's
+/// profile is inferred from its own observations only.
+pub(crate) fn infer_index(
+    index: &ObservationIndex,
+    features: &[FeatureSummary],
+) -> InferenceSection {
     let mut profiles = Vec::new();
     let mut matrix = Vec::new();
     let mut disagreements = Vec::new();
+    let mut mine = Vec::new();
     for summary_row in features {
-        let profile = infer_profile(&summary_row.client, &observations);
+        mine.clear();
+        mine.extend(index.of(&summary_row.client).map(|(_, o)| o));
+        let profile = infer_subject_profile(&summary_row.client, &mine);
         let conformance = score_profile(&profile);
         let inferred_row = matrix_row(&profile);
         disagreements.extend(diff_matrix_rows(summary_row, &inferred_row));

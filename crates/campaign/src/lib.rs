@@ -72,6 +72,8 @@ use std::collections::BTreeMap;
 
 use lazyeye_exec::{check_kinds, run_stitched};
 
+use executor::execute_runs;
+
 pub use aggregate::{Aggregator, CellReport, FeatureSummary, P2Quantile, StreamStats};
 pub use checkpoint::{merge_checkpoints, Campaign, Checkpoint, Shard};
 pub use executor::{execute, execute_with, run_one, RunContext, RunOutput};
@@ -161,7 +163,7 @@ pub fn run_campaign_resumable_with(
         completed,
         |pending, hook| {
             base = pending.len();
-            execute_pending(&ctx, pending, jobs, &mut progress, hook)
+            execute_runs(&ctx, pending, jobs, &mut progress, hook)
         },
         &mut on_result,
     );
@@ -177,7 +179,7 @@ pub fn run_campaign_resumable_with(
         completed,
         |pending, hook| {
             let progress = |done, total| progress(base + done, base + total);
-            execute_pending(&ctx, pending, jobs, progress, hook)
+            execute_runs(&ctx, pending, jobs, progress, hook)
         },
         on_result,
     );
@@ -187,19 +189,6 @@ pub fn run_campaign_resumable_with(
     let mut outputs = outputs1;
     outputs.extend(outputs2);
     Ok((runs, outputs))
-}
-
-/// Executes the `pending` runs through [`execute_with`], reporting each
-/// result by position to `on_result`.
-fn execute_pending(
-    ctx: &RunContext,
-    pending: &[&RunSpec],
-    jobs: usize,
-    progress: impl FnMut(usize, usize),
-    on_result: &mut dyn FnMut(usize, &RunOutput),
-) -> Vec<RunOutput> {
-    let runs: Vec<RunSpec> = pending.iter().map(|&run| run.clone()).collect();
-    execute_with(ctx, &runs, jobs, progress, on_result)
 }
 
 /// Folds `(run, output)` pairs — as returned by
@@ -229,10 +218,12 @@ pub fn build_report_with(
     }
     let (cells, features) = agg.finish();
     lazyeye_obs::counter("campaign.cells", lazyeye_obs::Clock::Virtual).add(cells.len() as u64);
-    let inference = classify.then(|| build_inference(runs, outputs, &features));
-    if let Some(section) = &inference {
-        forensics::on_inference(spec, runs, outputs, section);
-    }
+    let inference = classify.then(|| {
+        let index = inference::ObservationIndex::new(runs, outputs);
+        let section = inference::infer_index(&index, &features);
+        forensics::on_inference(spec, runs, &index, &section);
+        section
+    });
     CampaignReport {
         name: spec.name.clone(),
         seed: spec.seed,
@@ -283,7 +274,7 @@ pub fn run_shard(
     };
     ckpt.run_pending(
         &pass1,
-        |pending, hook| execute_pending(&ctx, pending, jobs, progress, hook),
+        |pending, hook| execute_runs(&ctx, pending, jobs, progress, hook),
         on_record,
     );
     Ok(ckpt)

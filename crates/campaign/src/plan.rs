@@ -94,23 +94,81 @@ impl RunKind {
     /// conditions) for RD cells, the netem label (or `"-"` for baseline)
     /// for selection and resolver cells.
     pub fn condition(&self) -> String {
-        match self {
-            RunKind::Cad { netem, .. } => netem.clone(),
+        self.cell_condition().to_string()
+    }
+
+    /// [`RunKind::condition`] without building the string: the fold and
+    /// the inference index compare it against the previous run's cell
+    /// on every run.
+    pub(crate) fn cell_condition(&self) -> CellCondition<'_> {
+        let (label, netem) = match self {
+            RunKind::Cad { netem, .. } => (netem.as_str(), None),
             RunKind::Rd { netem, record, .. } => {
                 let base = lazyeye_testbed::delayed_record_label(*record);
-                if netem == "baseline" {
-                    base.to_string()
-                } else {
-                    format!("{base}+{netem}")
-                }
+                (base, (netem != "baseline").then_some(netem.as_str()))
             }
             RunKind::Selection { netem, .. } | RunKind::Resolver { netem, .. } => {
                 if netem == "baseline" {
-                    "-".to_string()
+                    ("-", None)
                 } else {
-                    netem.clone()
+                    (netem.as_str(), None)
                 }
             }
+        };
+        CellCondition { label, netem }
+    }
+
+    /// The run's subject: its client id, or the resolver name.
+    pub fn subject(&self) -> &str {
+        match self {
+            RunKind::Cad { client, .. }
+            | RunKind::Rd { client, .. }
+            | RunKind::Selection { client, .. } => client,
+            RunKind::Resolver { resolver, .. } => resolver,
+        }
+    }
+
+    /// The run's case family label (`cad`, `rd`, `selection`,
+    /// `resolver`).
+    pub fn case(&self) -> &'static str {
+        match self {
+            RunKind::Cad { .. } => "cad",
+            RunKind::Rd { .. } => "rd",
+            RunKind::Selection { .. } => "selection",
+            RunKind::Resolver { .. } => "resolver",
+        }
+    }
+}
+
+/// A cell condition as [`RunKind::condition`] renders it, borrowed from
+/// the run: a label, plus the netem label an RD cell appends after `+`
+/// under a shaped condition.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct CellCondition<'a> {
+    label: &'a str,
+    netem: Option<&'a str>,
+}
+
+impl PartialEq<&str> for CellCondition<'_> {
+    fn eq(&self, other: &&str) -> bool {
+        let other = *other;
+        match self.netem {
+            None => self.label == other,
+            Some(netem) => {
+                other
+                    .strip_prefix(self.label)
+                    .and_then(|rest| rest.strip_prefix('+'))
+                    == Some(netem)
+            }
+        }
+    }
+}
+
+impl std::fmt::Display for CellCondition<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.netem {
+            None => f.write_str(self.label),
+            Some(netem) => write!(f, "{}+{netem}", self.label),
         }
     }
 }

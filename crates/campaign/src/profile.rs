@@ -276,7 +276,7 @@ pub fn stall_cross_checks(
                     &r.kind,
                     RunKind::Rd { client, record: DelayedRecord::A, .. }
                         if *client == profile.subject
-                ) && r.kind.condition() == "delayed-a"
+                ) && r.kind.cell_condition() == "delayed-a"
             })
             .max_by_key(|(i, r)| {
                 let RunKind::Rd { delay_ms, .. } = &r.kind else {

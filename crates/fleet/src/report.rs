@@ -7,6 +7,8 @@
 //! on worker count or wall-clock time: a `(spec, seed)` pair renders to
 //! byte-identical output at any `--jobs` and across shard/merge.
 
+use std::sync::Arc;
+
 use lazyeye_infer::{
     infer_profile, infer_resolver_profile, merge_capability, score_profile, score_resolver,
     CaseKind, ConformanceEntry, InferredProfile, InferredResolverProfile, Observation, RdEstimate,
@@ -322,6 +324,8 @@ lazyeye_json::impl_json_struct!(FleetReport {
 /// stands for: one observation per counted fetch, reconstructed from the
 /// per-tier counts (the collector kept no raw sessions).
 fn cad_observations(member: &Member, cad: &CaseAggregate) -> Vec<Observation> {
+    let subject: Arc<str> = member.key.as_str().into();
+    let condition: Arc<str> = member.condition.as_str().into();
     let mut out = Vec::new();
     for cell in &cad.tiers {
         let mut rep = 0u32;
@@ -329,8 +333,8 @@ fn cad_observations(member: &Member, cad: &CaseAggregate) -> Vec<Observation> {
             for _ in 0..n {
                 let mut o = Observation::shell(
                     CaseKind::Cad,
-                    &member.key,
-                    &member.condition,
+                    Arc::clone(&subject),
+                    Arc::clone(&condition),
                     cell.delay_ms,
                     rep,
                 );

@@ -40,8 +40,8 @@ pub use compare::{diff_profiles, fmt_opt, push_delta, FieldDelta};
 pub use conformance::{score_profile, ConformanceEntry, Verdict};
 pub use observe::{CaseKind, Observation};
 pub use profile::{
-    canonical_condition, infer_profile, infer_traces, CadEstimate, InferredProfile, RdEstimate,
-    SortingPolicy,
+    canonical_condition, infer_profile, infer_subject_profile, infer_traces, CadEstimate,
+    InferredProfile, RdEstimate, SortingPolicy,
 };
 pub use resolver::{
     infer_resolver_profile, infer_resolver_traces, merge_capability, score_resolver,

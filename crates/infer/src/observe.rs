@@ -7,6 +7,8 @@
 //! trace path via [`Observation::from_trace`], the campaign path via a
 //! converter on its own run-output type.
 
+use std::sync::Arc;
+
 use lazyeye_net::Family;
 use lazyeye_trace::Trace;
 
@@ -49,9 +51,9 @@ pub struct Observation {
     /// Case family.
     pub case: CaseKind,
     /// Subject id (client profile id or resolver name).
-    pub subject: String,
+    pub subject: Arc<str>,
     /// Cell condition (netem label, delayed-record label, `"-"`).
-    pub condition: String,
+    pub condition: Arc<str>,
     /// Configured delay of the run (ms).
     pub delay_ms: u64,
     /// Repetition index.
@@ -78,19 +80,20 @@ pub struct Observation {
 
 impl Observation {
     /// An empty observation shell for `(case, subject, condition, delay,
-    /// rep)` — converters fill in what they know.
+    /// rep)` — converters fill in what they know. Pass `Arc<str>` labels
+    /// to share them between the observations of one cell.
     pub fn shell(
         case: CaseKind,
-        subject: &str,
-        condition: &str,
+        subject: impl Into<Arc<str>>,
+        condition: impl Into<Arc<str>>,
         delay_ms: u64,
         rep: u32,
     ) -> Observation {
         crate::metrics::observations().inc();
         Observation {
             case,
-            subject: subject.to_string(),
-            condition: condition.to_string(),
+            subject: subject.into(),
+            condition: condition.into(),
             delay_ms,
             rep,
             family: None,
@@ -111,8 +114,8 @@ impl Observation {
         let case = CaseKind::parse(&trace.meta.case)?;
         let mut o = Observation::shell(
             case,
-            &trace.meta.subject,
-            &trace.meta.condition,
+            trace.meta.subject.as_str(),
+            trace.meta.condition.as_str(),
             trace.meta.configured_delay_ms,
             trace.meta.rep,
         );

@@ -118,13 +118,29 @@ lazyeye_json::impl_json_struct!(InferredProfile {
 /// campaign roll-up's cell choice so the two derivations must agree.
 /// Public so forensics can locate the exact cell a verdict came from.
 pub fn canonical_condition<'a>(obs: &'a [&Observation], preferred: &'a str) -> Option<&'a str> {
-    let mut conditions: Vec<&str> = obs.iter().map(|o| o.condition.as_str()).collect();
-    conditions.sort_unstable();
-    conditions.dedup();
-    if conditions.contains(&preferred) {
-        Some(preferred)
-    } else {
-        conditions.first().copied()
+    let mut smallest: Option<&str> = None;
+    for o in obs {
+        let condition = &*o.condition;
+        if condition == preferred {
+            return Some(preferred);
+        }
+        if smallest.is_none_or(|s| condition < s) {
+            smallest = Some(condition);
+        }
+    }
+    smallest
+}
+
+/// The observations of the canonical condition (see
+/// [`canonical_condition`]), in input order.
+fn canonical_cell<'a>(obs: &[&'a Observation], preferred: &str) -> Vec<&'a Observation> {
+    match canonical_condition(obs, preferred) {
+        Some(cond) => obs
+            .iter()
+            .copied()
+            .filter(|o| *o.condition == *cond)
+            .collect(),
+        None => Vec::new(),
     }
 }
 
@@ -171,8 +187,16 @@ fn classify_sorting(orders: &[&Vec<Family>]) -> SortingPolicy {
 pub fn infer_profile(subject: &str, observations: &[Observation]) -> InferredProfile {
     let mine: Vec<&Observation> = observations
         .iter()
-        .filter(|o| o.subject == subject)
+        .filter(|o| *o.subject == *subject)
         .collect();
+    infer_subject_profile(subject, &mine)
+}
+
+/// Infers one subject's profile from that subject's own observations, in
+/// run order: [`infer_profile`] without the scan over every subject's
+/// observations. `mine` must hold no other subject's observations.
+pub fn infer_subject_profile(subject: &str, mine: &[&Observation]) -> InferredProfile {
+    debug_assert!(mine.iter().all(|o| *o.subject == *subject));
 
     // --- CAD cell: changepoint over the sweep grid --------------------
     let cad_obs: Vec<&Observation> = mine
@@ -180,17 +204,7 @@ pub fn infer_profile(subject: &str, observations: &[Observation]) -> InferredPro
         .copied()
         .filter(|o| o.case == CaseKind::Cad)
         .collect();
-    let cad_cell: Vec<&Observation> = match canonical_condition(&cad_obs, "baseline") {
-        Some(cond) => {
-            let cond = cond.to_string();
-            cad_obs
-                .iter()
-                .copied()
-                .filter(|o| o.condition == cond)
-                .collect()
-        }
-        None => Vec::new(),
-    };
+    let cad_cell = canonical_cell(&cad_obs, "baseline");
     let points: Vec<(u64, Family)> = cad_cell
         .iter()
         .filter_map(|o| o.family.map(|f| (o.delay_ms, f)))
@@ -239,17 +253,7 @@ pub fn infer_profile(subject: &str, observations: &[Observation]) -> InferredPro
         .copied()
         .filter(|o| o.case == CaseKind::Rd)
         .collect();
-    let rd_cell: Vec<&Observation> = match canonical_condition(&rd_obs, "delayed-aaaa") {
-        Some(cond) => {
-            let cond = cond.to_string();
-            rd_obs
-                .iter()
-                .copied()
-                .filter(|o| o.condition == cond)
-                .collect()
-        }
-        None => Vec::new(),
-    };
+    let rd_cell = canonical_cell(&rd_obs, "delayed-aaaa");
     let mut rd_delays: Vec<f64> = rd_cell
         .iter()
         .filter_map(|o| o.rd_delay_ms)
@@ -285,17 +289,7 @@ pub fn infer_profile(subject: &str, observations: &[Observation]) -> InferredPro
         .copied()
         .filter(|o| o.case == CaseKind::Selection)
         .collect();
-    let sel_cell: Vec<&Observation> = match canonical_condition(&sel_obs, "-") {
-        Some(cond) => {
-            let cond = cond.to_string();
-            sel_obs
-                .iter()
-                .copied()
-                .filter(|o| o.condition == cond)
-                .collect()
-        }
-        None => Vec::new(),
-    };
+    let sel_cell = canonical_cell(&sel_obs, "-");
     let orders: Vec<&Vec<Family>> = sel_cell.iter().map(|o| &o.attempt_order).collect();
     let sorting = classify_sorting(&orders);
     let v6_addrs_used = sel_cell.iter().map(|o| o.v6_addrs_used).max();

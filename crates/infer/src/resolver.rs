@@ -70,7 +70,7 @@ pub fn infer_resolver_profile(
 ) -> InferredResolverProfile {
     let mine: Vec<&Observation> = observations
         .iter()
-        .filter(|o| o.subject == subject && o.case == CaseKind::Resolver)
+        .filter(|o| *o.subject == *subject && o.case == CaseKind::Resolver)
         .collect();
 
     // Changepoint over the sweep grid, exactly like the client CAD fit:
@@ -210,7 +210,7 @@ pub fn infer_resolver_traces(set: &lazyeye_trace::TraceSet) -> Vec<InferredResol
         .filter(|s| {
             observations
                 .iter()
-                .any(|o| &o.subject == *s && o.case == CaseKind::Resolver)
+                .any(|o| &*o.subject == s.as_str() && o.case == CaseKind::Resolver)
         })
         .map(|s| {
             let profile = infer_resolver_profile(s, &observations);

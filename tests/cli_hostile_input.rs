@@ -144,3 +144,45 @@ fn stored_outputs_of_the_wrong_kind_are_a_clean_error() {
     assert_clean_error(&["fleet", "--merge", path], &needle);
     std::fs::remove_file(path).unwrap();
 }
+
+#[test]
+fn truncated_trace_file_is_a_clean_error() {
+    let full = temp_file("full-trace.json", "");
+    let out = Command::new(env!("CARGO_BIN_EXE_lazyeye"))
+        .args([
+            "cad",
+            "--client",
+            "curl-7.88.1",
+            "--from",
+            "150",
+            "--to",
+            "250",
+        ])
+        .args(["--step", "50", "--emit-trace"])
+        .arg(&full)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&full).unwrap();
+    std::fs::remove_file(&full).unwrap();
+    // Cut inside a value and between values: a writer killed mid-file.
+    for cut in [text.len() / 2, text.len() - 2] {
+        let path = temp_file("truncated-trace.json", &text[..cut]);
+        let out = Command::new(env!("CARGO_BIN_EXE_lazyeye"))
+            .args(["infer", "--trace"])
+            .arg(&path)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "cut at {cut}: {stderr}");
+        assert!(
+            stderr.contains("truncated-trace.json"),
+            "cut at {cut}: {stderr}"
+        );
+        std::fs::remove_file(path).unwrap();
+    }
+}

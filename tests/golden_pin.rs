@@ -15,11 +15,11 @@
 use std::collections::BTreeMap;
 
 use lazy_eye_inspection::campaign::{
-    expand, run_campaign, run_campaign_resumable, run_shard, CampaignSpec, Checkpoint, NetemSpec,
-    SelectionPlan, Shard,
+    build_report_with, expand, run_campaign, run_campaign_resumable, run_shard, CampaignSpec,
+    Checkpoint, NetemSpec, RdPlan, SelectionPlan, Shard,
 };
 use lazy_eye_inspection::fleet::{run_fleet, run_fleet_shard, FleetSpec};
-use lazy_eye_inspection::testbed::{CadCaseConfig, ResolverCaseConfig, SweepSpec};
+use lazy_eye_inspection::testbed::{CadCaseConfig, DelayedRecord, ResolverCaseConfig, SweepSpec};
 
 /// FNV-1a 64-bit over the raw report bytes.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -194,4 +194,105 @@ fn fleet_shard_partial_bytes_are_pinned() {
             fnv1a64(text.as_bytes())
         );
     }
+}
+
+// Classified reports. The inference section (profiles, verdicts, the
+// inference-derived matrix and its `FieldDelta` order) is pinned byte for
+// byte, on the default spec and on a spec whose shaped netem condition
+// gives RD cells the `delayed-aaaa+<netem>` condition and interleaves
+// baseline and shaped cells of every case family.
+
+/// Two clients (Safari arms the RD timer, Chrome does not), one resolver,
+/// every case family under a baseline and a shaped condition.
+fn pinned_shaped_spec() -> CampaignSpec {
+    CampaignSpec {
+        name: "golden-pin-shaped".into(),
+        seed: 0x5AA9ED,
+        clients: vec!["chrome-130.0".into(), "safari-17.6".into()],
+        resolvers: vec!["BIND".into()],
+        netem: vec![
+            NetemSpec::baseline(),
+            NetemSpec {
+                label: "jittery".into(),
+                loss_pct: 0.0,
+                jitter_ms: 3,
+                duplicate_pct: 0.0,
+            },
+        ],
+        cad: Some(CadCaseConfig {
+            sweep: SweepSpec::new(0, 400, 100),
+            repetitions: 2,
+        }),
+        rd: Some(RdPlan {
+            records: vec![DelayedRecord::Aaaa, DelayedRecord::A],
+            sweep: SweepSpec::new(0, 400, 200),
+            repetitions: 1,
+        }),
+        selection: Some(SelectionPlan {
+            repetitions: 1,
+            ..SelectionPlan::default()
+        }),
+        resolver: Some(ResolverCaseConfig {
+            sweep: SweepSpec::new(0, 400, 400),
+            repetitions: 1,
+        }),
+        refine_step_ms: Some(25),
+    }
+}
+
+const CLASSIFIED_DEFAULT_JSON_HASH: u64 = 0x39c7_f804_dd78_8fe7;
+const CLASSIFIED_DEFAULT_CSV_HASH: u64 = 0x915c_56ad_8648_6f49;
+const CLASSIFIED_SHAPED_JSON_HASH: u64 = 0x9b81_c6b1_9333_ee75;
+const CLASSIFIED_SHAPED_CSV_HASH: u64 = 0x32f1_cda2_0dd4_7fc0;
+
+fn assert_classified_pinned(spec: &CampaignSpec, json_hash: u64, csv_hash: u64) {
+    for jobs in [1usize, 8] {
+        let (runs, outputs) =
+            run_campaign_resumable(spec, jobs, &BTreeMap::new(), |_, _| {}, |_, _| {}).unwrap();
+        let report = build_report_with(spec, &runs, &outputs, true);
+        assert!(
+            report.inference.is_some(),
+            "classified report has no inference section"
+        );
+        let (json, csv) = (report.to_json(), report.to_csv());
+        assert_eq!(
+            fnv1a64(json.as_bytes()),
+            json_hash,
+            "{} classified JSON hash moved at --jobs {jobs} (got {:#x})",
+            spec.name,
+            fnv1a64(json.as_bytes())
+        );
+        assert_eq!(
+            fnv1a64(csv.as_bytes()),
+            csv_hash,
+            "{} classified CSV hash moved at --jobs {jobs} (got {:#x})",
+            spec.name,
+            fnv1a64(csv.as_bytes())
+        );
+    }
+}
+
+#[test]
+fn classified_default_report_bytes_are_pinned() {
+    assert_classified_pinned(
+        &CampaignSpec::default(),
+        CLASSIFIED_DEFAULT_JSON_HASH,
+        CLASSIFIED_DEFAULT_CSV_HASH,
+    );
+}
+
+#[test]
+fn classified_shaped_report_bytes_are_pinned() {
+    let spec = pinned_shaped_spec();
+    let runs = expand(&spec).unwrap();
+    assert!(
+        runs.iter()
+            .any(|r| matches!(&r.kind, lazy_eye_inspection::campaign::RunKind::Rd { netem, .. } if netem == "jittery")),
+        "the shaped spec must plan RD runs under the shaped condition"
+    );
+    assert_classified_pinned(
+        &spec,
+        CLASSIFIED_SHAPED_JSON_HASH,
+        CLASSIFIED_SHAPED_CSV_HASH,
+    );
 }

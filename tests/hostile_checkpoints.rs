@@ -1,7 +1,8 @@
 //! Property-based hostile-input tests for the files the CLI loads: the
 //! two resumable state files (campaign checkpoints and fleet partials),
-//! flight-recorder bundles, campaign and fleet specs, and the campaign and
-//! fleet reports `--diff` reads. Arbitrary bytes and byte-level mutations
+//! flight-recorder bundles, campaign and fleet specs, the campaign and
+//! fleet reports `--diff` reads, and the trace files `infer --trace`
+//! reads. Arbitrary bytes and byte-level mutations
 //! of a valid file must parse to `Ok` or `Err`, never panic — and so must
 //! what the CLI does next with a parsed spec or report.
 
@@ -13,12 +14,13 @@ use lazyeye_campaign::{
     CampaignSpec, Checkpoint, NetemSpec, RdPlan, RunContext, RunProvenance, SelectionPlan, Shard,
 };
 use lazyeye_fleet::{diff_report_strs, run_fleet, run_fleet_shard, FleetCheckpoint, FleetSpec};
+use lazyeye_infer::{infer_resolver_traces, infer_traces};
 use lazyeye_json::{FromJson, Json, ToJson};
 use lazyeye_obs::bundle::Bundle;
 use lazyeye_obs::recorder::Recorder;
 use lazyeye_obs::Clock;
 use lazyeye_testbed::{CadCaseConfig, DelayedRecord, ResolverCaseConfig, SweepSpec};
-use lazyeye_trace::Trace;
+use lazyeye_trace::{Trace, TraceSet};
 use proptest::prelude::*;
 
 const WHOLE: Shard = Shard { index: 0, count: 1 };
@@ -194,6 +196,40 @@ fn fleet_report() -> &'static str {
     })
 }
 
+/// A valid trace file: one captured trace of each run kind of
+/// [`small_campaign_spec`] (CAD, RD, selection, resolver), from two
+/// clients and a resolver.
+fn trace_file() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let spec = small_campaign_spec();
+        let runs = expand(&spec).unwrap();
+        let mut set = TraceSet::default();
+        for (case, subject) in [
+            ("cad", "chrome-130.0"),
+            ("rd", "safari-17.6"),
+            ("selection", "chrome-130.0"),
+            ("resolver", "BIND"),
+        ] {
+            let run = runs
+                .iter()
+                .find(|r| r.kind.case() == case && r.kind.subject() == subject)
+                .unwrap();
+            set.push(capture_trace(&provenance(&spec, run)));
+        }
+        set.to_json_string()
+    })
+}
+
+/// Loads a trace file the way `lazyeye infer --trace` does, through
+/// client and resolver inference.
+fn load_traces(text: &str) {
+    if let Ok(set) = TraceSet::from_json_str(text) {
+        let _ = infer_traces(&set);
+        let _ = infer_resolver_traces(&set);
+    }
+}
+
 /// Expansions larger than this are not built: a mutated digit can ask
 /// for millions of runs, which is a valid spec, not a hostile one.
 const SMALL_PLAN: u128 = 20_000;
@@ -331,6 +367,10 @@ fn valid_files_parse() {
     assert!(report.inference.is_some());
     assert!(diff_reports(&report, &report).is_empty());
     assert!(diff_report_strs(fleet_report(), fleet_report()).is_ok());
+    let traces = TraceSet::from_json_str(trace_file()).unwrap();
+    assert_eq!(traces.traces.len(), 4);
+    assert_eq!(infer_traces(&traces).len(), 3, "two clients and a resolver");
+    assert_eq!(infer_resolver_traces(&traces).len(), 1);
 }
 
 proptest! {
@@ -344,6 +384,7 @@ proptest! {
         load_fleet_spec(&text);
         load_campaign_report(&text);
         load_fleet_report(&text);
+        load_traces(&text);
     }
 
     #[test]
@@ -393,5 +434,12 @@ proptest! {
         edits in proptest::collection::vec(arb_edit(), 1..4),
     ) {
         load_fleet_report(&mutate(fleet_report(), &edits));
+    }
+
+    #[test]
+    fn trace_loader_never_panics_on_mutated_valid_trace_file(
+        edits in proptest::collection::vec(arb_edit(), 1..4),
+    ) {
+        load_traces(&mutate(trace_file(), &edits));
     }
 }
