@@ -535,7 +535,7 @@ fn simulate(ctx: &RunContext, run: &RunSpec) -> RunOutput {
         } => {
             let profile = ctx
                 .resolvers
-                .get(resolver)
+                .get(&**resolver)
                 .unwrap_or_else(|| panic!("run references unresolved resolver {resolver:?}"));
             RunOutput::Resolver(run_resolver_once_netem(
                 profile,

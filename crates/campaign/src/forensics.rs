@@ -307,7 +307,7 @@ pub(crate) fn on_refinement_brackets(spec: &CampaignSpec, pass2: &[RunSpec]) {
 pub(crate) fn on_inference(
     spec: &CampaignSpec,
     runs: &[RunSpec],
-    index: &ObservationIndex,
+    index: &ObservationIndex<'_>,
     section: &InferenceSection,
 ) {
     if !trigger::armed() {
@@ -315,10 +315,20 @@ pub(crate) fn on_inference(
     }
     for report in &section.profiles {
         let profile = &report.profile;
+        let deviates = report
+            .conformance
+            .iter()
+            .any(|e| e.verdict == Verdict::Deviates);
+        if profile.cad.misfits == 0 && !deviates {
+            continue;
+        }
+        // This subject's observations only, dropped before the next
+        // subject's are built.
+        let mine = index.observations(&profile.subject);
 
         // --- changepoint misfits: the step model disagrees with runs --
         if profile.cad.misfits > 0 {
-            fire_misfit(spec, runs, index, &profile.subject);
+            fire_misfit(spec, runs, &mine, &profile.subject);
         }
 
         // --- DEVIATES verdicts --------------------------------------
@@ -333,15 +343,13 @@ pub(crate) fn on_inference(
                 // family-preference, query-order, connection-attempt-delay.
                 _ => (CaseKind::Cad, "baseline"),
             };
-            let of_case: Vec<(usize, &Observation)> = index
-                .of(&profile.subject)
-                .filter(|(_, o)| o.case == case)
-                .collect();
-            let observations: Vec<&Observation> = of_case.iter().map(|&(_, o)| o).collect();
+            let of_case: Vec<&(usize, Observation)> =
+                mine.iter().filter(|(_, o)| o.case == case).collect();
+            let observations: Vec<&Observation> = of_case.iter().map(|(_, o)| o).collect();
             let Some(cond) = canonical_condition(&observations, preferred) else {
                 continue;
             };
-            let Some(&(rep_idx, _)) = of_case.iter().find(|(_, o)| *o.condition == *cond) else {
+            let Some(&&(rep_idx, _)) = of_case.iter().find(|(_, o)| *o.condition == *cond) else {
                 continue;
             };
             let p = provenance(spec, &runs[rep_idx]);
@@ -388,12 +396,18 @@ pub(crate) fn on_inference(
 /// Fires the inference-misfit trigger for one subject's canonical CAD
 /// cell: refits the changepoint over the cell's points and picks the
 /// first misclassified run (in run-index order) as representative.
-fn fire_misfit(spec: &CampaignSpec, runs: &[RunSpec], index: &ObservationIndex, subject: &str) {
-    let cad_obs: Vec<(usize, &Observation)> = index
-        .of(subject)
+/// `mine` is the subject's observations with their run positions.
+fn fire_misfit(
+    spec: &CampaignSpec,
+    runs: &[RunSpec],
+    mine: &[(usize, Observation)],
+    subject: &str,
+) {
+    let cad_obs: Vec<&(usize, Observation)> = mine
+        .iter()
         .filter(|(_, o)| o.case == CaseKind::Cad)
         .collect();
-    let observations: Vec<&Observation> = cad_obs.iter().map(|&(_, o)| o).collect();
+    let observations: Vec<&Observation> = cad_obs.iter().map(|(_, o)| o).collect();
     let Some(cond) = canonical_condition(&observations, "baseline") else {
         return;
     };
@@ -401,7 +415,7 @@ fn fire_misfit(spec: &CampaignSpec, runs: &[RunSpec], index: &ObservationIndex, 
     let cell: Vec<(usize, (u64, Family))> = cad_obs
         .iter()
         .filter(|(_, o)| *o.condition == *cond)
-        .filter_map(|&(i, o)| o.family.map(|f| (i, (o.delay_ms, f))))
+        .filter_map(|(i, o)| o.family.map(|f| (*i, (o.delay_ms, f))))
         .collect();
     let points: Vec<(u64, Family)> = cell.iter().map(|(_, pt)| *pt).collect();
     let fit = detect_switchover(&points);

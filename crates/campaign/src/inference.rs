@@ -21,7 +21,7 @@ use lazyeye_infer::{
 
 use crate::aggregate::FeatureSummary;
 use crate::executor::RunOutput;
-use crate::plan::{RunKind, RunSpec};
+use crate::plan::{RunKind, RunLabel, RunSpec};
 
 /// One client's inference result: the inferred profile plus its RFC 8305
 /// conformance verdicts.
@@ -64,7 +64,12 @@ lazyeye_json::impl_json_struct!(InferenceSection {
 /// Reduces one `(run, output)` pair to an inference observation.
 pub fn observation(run: &RunSpec, output: &RunOutput) -> Observation {
     let condition = run.kind.condition();
-    observe(run, output, run.kind.subject().into(), condition.into())
+    observe(
+        run,
+        output,
+        run.kind.subject_label().shared(),
+        condition.into(),
+    )
 }
 
 /// [`observation`] with the run's subject and condition labels given.
@@ -107,59 +112,66 @@ fn observe(
     }
 }
 
-/// A campaign's observations, built once per report: one per run in
-/// run-index order, bucketed by subject. The observations of one subject
-/// share its label, and those of one cell their condition label, so
-/// building the index allocates per cell, not per run.
-pub(crate) struct ObservationIndex {
-    observations: Vec<Observation>,
-    /// Per subject, in first-appearance order: the positions of its
-    /// observations, ascending.
-    subjects: Vec<(Arc<str>, Vec<usize>)>,
+/// A campaign's runs bucketed by subject, built once per report. It
+/// holds each subject's run positions only: a subject's observations are
+/// built on demand ([`ObservationIndex::observations`]) and dropped by
+/// the caller before it moves to the next subject, so the index costs
+/// one position per run however large the campaign is.
+pub(crate) struct ObservationIndex<'r> {
+    runs: &'r [RunSpec],
+    outputs: &'r [RunOutput],
+    /// Per subject, in first-appearance order: its label and the
+    /// positions of its runs, ascending.
+    subjects: Vec<(RunLabel, Vec<usize>)>,
 }
 
-impl ObservationIndex {
-    pub(crate) fn new(runs: &[RunSpec], outputs: &[RunOutput]) -> ObservationIndex {
+impl<'r> ObservationIndex<'r> {
+    pub(crate) fn new(runs: &'r [RunSpec], outputs: &'r [RunOutput]) -> ObservationIndex<'r> {
         debug_assert_eq!(runs.len(), outputs.len());
-        let mut subjects: Vec<(Arc<str>, Vec<usize>)> = Vec::new();
-        // The previous run's subject bucket and condition label: runs of
-        // one cell arrive back to back, so most runs reuse both.
-        let mut last: Option<(usize, Arc<str>)> = None;
-        let mut observations = Vec::with_capacity(runs.len());
-        for (position, (run, output)) in runs.iter().zip(outputs).enumerate() {
-            let (subject, condition) = (run.kind.subject(), run.kind.cell_condition());
-            let hit = last.as_ref().is_some_and(|(bucket, label)| {
-                *subjects[*bucket].0 == *subject && condition == &**label
-            });
-            if !hit {
-                let bucket = match subjects.iter().position(|(s, _)| **s == *subject) {
+        let mut subjects: Vec<(RunLabel, Vec<usize>)> = Vec::new();
+        // The previous run's bucket: a subject's runs arrive back to
+        // back, so most runs reuse it.
+        let mut last = usize::MAX;
+        for (position, run) in runs.iter().enumerate() {
+            let subject = run.kind.subject_label();
+            if subjects.get(last).is_none_or(|(s, _)| s != subject) {
+                last = match subjects.iter().position(|(s, _)| s == subject) {
                     Some(bucket) => bucket,
                     None => {
-                        subjects.push((subject.into(), Vec::new()));
+                        subjects.push((subject.clone(), Vec::new()));
                         subjects.len() - 1
                     }
                 };
-                last = Some((bucket, condition.to_string().into()));
             }
-            let (bucket, label) = last.as_ref().expect("set above on a miss");
-            let (subject, positions) = &mut subjects[*bucket];
-            positions.push(position);
-            observations.push(observe(run, output, Arc::clone(subject), Arc::clone(label)));
+            subjects[last].1.push(position);
         }
         ObservationIndex {
-            observations,
+            runs,
+            outputs,
             subjects,
         }
     }
 
-    /// `subject`'s observations with their positions, in run order.
-    pub(crate) fn of(&self, subject: &str) -> impl Iterator<Item = (usize, &Observation)> {
-        let positions = self
-            .subjects
-            .iter()
-            .find(|(s, _)| **s == *subject)
-            .map_or(&[][..], |(_, positions)| positions.as_slice());
-        positions.iter().map(|&i| (i, &self.observations[i]))
+    /// `subject`'s observations with their run positions, in run order.
+    /// They share the subject's label, and those of one cell their
+    /// condition label, so building them allocates per cell, not per
+    /// run.
+    pub(crate) fn observations(&self, subject: &str) -> Vec<(usize, Observation)> {
+        let Some((label, positions)) = self.subjects.iter().find(|(s, _)| **s == *subject) else {
+            return Vec::new();
+        };
+        let mut out = Vec::with_capacity(positions.len());
+        let mut condition: Option<Arc<str>> = None;
+        for &i in positions {
+            let run = &self.runs[i];
+            let cell = run.kind.cell_condition();
+            let condition = match &condition {
+                Some(c) if cell == &**c => Arc::clone(c),
+                _ => Arc::clone(condition.insert(cell.to_string().into())),
+            };
+            out.push((i, observe(run, &self.outputs[i], label.shared(), condition)));
+        }
+        out
     }
 }
 
@@ -237,18 +249,18 @@ pub fn build_inference(
 }
 
 /// [`build_inference`] over an already built index: each client's
-/// profile is inferred from its own observations only.
+/// profile is inferred from its own observations only, built one client
+/// at a time.
 pub(crate) fn infer_index(
-    index: &ObservationIndex,
+    index: &ObservationIndex<'_>,
     features: &[FeatureSummary],
 ) -> InferenceSection {
     let mut profiles = Vec::new();
     let mut matrix = Vec::new();
     let mut disagreements = Vec::new();
-    let mut mine = Vec::new();
     for summary_row in features {
-        mine.clear();
-        mine.extend(index.of(&summary_row.client).map(|(_, o)| o));
+        let observations = index.observations(&summary_row.client);
+        let mine: Vec<&Observation> = observations.iter().map(|(_, o)| o).collect();
         let profile = infer_subject_profile(&summary_row.client, &mine);
         let conformance = score_profile(&profile);
         let inferred_row = matrix_row(&profile);

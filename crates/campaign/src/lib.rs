@@ -79,7 +79,7 @@ pub use checkpoint::{merge_checkpoints, Campaign, Checkpoint, Shard};
 pub use executor::{execute, execute_with, run_one, RunContext, RunOutput};
 pub use forensics::{replay, ReplayReport, RunProvenance};
 pub use inference::{build_inference, InferenceSection, InferredClientReport};
-pub use plan::{derive_seed, expand, split_rd_condition, RunKind, RunSpec, SpecError};
+pub use plan::{derive_seed, expand, split_rd_condition, RunKind, RunLabel, RunSpec, SpecError};
 pub use profile::{
     fold_row, profile_campaign, profile_runs, stall_cross_checks, BudgetRow, LatencyBudget,
     StallCrossCheck,
@@ -314,6 +314,7 @@ fn send_audit() {
     fn assert_send<T: Send>() {}
     fn assert_sync<T: Sync>() {}
     assert_send::<RunSpec>();
+    assert_sync::<RunSpec>();
     assert_send::<RunOutput>();
     assert_send::<CampaignSpec>();
     assert_send::<CampaignReport>();

@@ -6,6 +6,9 @@
 //! sharding and the aggregation fold — are a pure function of the spec.
 
 use std::collections::BTreeSet;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use lazyeye_clients::{all_measured_clients, ClientProfile};
 use lazyeye_resolver::{all_profiles, ResolverProfile};
@@ -36,17 +39,73 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// What a single run measures. All fields are plain owned data so run
-/// specs can cross thread boundaries freely (the executor's Send audit
-/// pins this down).
+/// A run's client id, resolver name or netem label: an immutable string
+/// shared by every run that names it. [`expand`] builds one label per
+/// distinct client, resolver and condition, and
+/// [`crate::refine::plan_refinement`] reuses the first pass's, so cloning
+/// or dropping a [`RunSpec`] never allocates. It derefs to `str`, and
+/// its `Debug` and `Display` print what the label's `String` would.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RunLabel(Arc<str>);
+
+impl RunLabel {
+    /// The label as a shared string, for callers that keep it beyond
+    /// the run (inference observations share it this way).
+    pub(crate) fn shared(&self) -> Arc<str> {
+        Arc::clone(&self.0)
+    }
+}
+
+impl Deref for RunLabel {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for RunLabel {
+    fn from(label: &str) -> RunLabel {
+        RunLabel(label.into())
+    }
+}
+
+impl From<String> for RunLabel {
+    fn from(label: String) -> RunLabel {
+        RunLabel(label.into())
+    }
+}
+
+impl PartialEq<str> for RunLabel {
+    fn eq(&self, other: &str) -> bool {
+        *self.0 == *other
+    }
+}
+
+impl fmt::Debug for RunLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Display for RunLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&*self.0, f)
+    }
+}
+
+/// What a single run measures. Its labels are shared and immutable
+/// ([`RunLabel`] is an `Arc<str>`) and everything else is plain data, so
+/// run specs can cross thread boundaries freely (the crate's Send/Sync
+/// audit pins this down).
 #[derive(Clone, Debug, PartialEq)]
 pub enum RunKind {
     /// One CAD measurement: client × netem condition × IPv6 delay × rep.
     Cad {
         /// Client profile id.
-        client: String,
+        client: RunLabel,
         /// Netem condition label (resolved via the spec).
-        netem: String,
+        netem: RunLabel,
         /// Configured IPv6 delay (ms).
         delay_ms: u64,
         /// Repetition index.
@@ -56,9 +115,9 @@ pub enum RunKind {
     /// rep.
     Rd {
         /// Client profile id.
-        client: String,
+        client: RunLabel,
         /// Netem condition label (resolved via the spec).
-        netem: String,
+        netem: RunLabel,
         /// Which record type is delayed.
         record: DelayedRecord,
         /// Configured DNS answer delay (ms).
@@ -69,18 +128,18 @@ pub enum RunKind {
     /// One address-selection measurement: client × netem × rep.
     Selection {
         /// Client profile id.
-        client: String,
+        client: RunLabel,
         /// Netem condition label.
-        netem: String,
+        netem: RunLabel,
         /// Repetition index.
         rep: u32,
     },
     /// One resolver measurement: resolver × netem × IPv6-path delay × rep.
     Resolver {
         /// Resolver profile name.
-        resolver: String,
+        resolver: RunLabel,
         /// Netem condition label.
-        netem: String,
+        netem: RunLabel,
         /// Configured IPv6-path delay towards the auth NS (ms).
         delay_ms: u64,
         /// Repetition index.
@@ -102,16 +161,16 @@ impl RunKind {
     /// on every run.
     pub(crate) fn cell_condition(&self) -> CellCondition<'_> {
         let (label, netem) = match self {
-            RunKind::Cad { netem, .. } => (netem.as_str(), None),
+            RunKind::Cad { netem, .. } => (&**netem, None),
             RunKind::Rd { netem, record, .. } => {
                 let base = lazyeye_testbed::delayed_record_label(*record);
-                (base, (netem != "baseline").then_some(netem.as_str()))
+                (base, (netem != "baseline").then_some(&**netem))
             }
             RunKind::Selection { netem, .. } | RunKind::Resolver { netem, .. } => {
                 if netem == "baseline" {
                     ("-", None)
                 } else {
-                    (netem.as_str(), None)
+                    (&**netem, None)
                 }
             }
         };
@@ -120,6 +179,11 @@ impl RunKind {
 
     /// The run's subject: its client id, or the resolver name.
     pub fn subject(&self) -> &str {
+        self.subject_label()
+    }
+
+    /// [`RunKind::subject`] as the shared label itself.
+    pub(crate) fn subject_label(&self) -> &RunLabel {
         match self {
             RunKind::Cad { client, .. }
             | RunKind::Rd { client, .. }
@@ -318,6 +382,13 @@ pub fn expand(spec: &CampaignSpec) -> Result<Vec<RunSpec>, SpecError> {
     } else {
         netem
     };
+    // One shared label per distinct client, resolver and condition.
+    let clients: Vec<RunLabel> = clients.iter().map(|c| RunLabel::from(c.id())).collect();
+    let resolvers: Vec<RunLabel> = resolvers.iter().map(|r| RunLabel::from(r.name)).collect();
+    let conditions: Vec<RunLabel> = conditions
+        .iter()
+        .map(|c| RunLabel::from(c.label.as_str()))
+        .collect();
 
     let mut runs = Vec::new();
     let push = |kind: RunKind, runs: &mut Vec<RunSpec>| {
@@ -337,8 +408,8 @@ pub fn expand(spec: &CampaignSpec) -> Result<Vec<RunSpec>, SpecError> {
                     for rep in 0..cad.repetitions {
                         push(
                             RunKind::Cad {
-                                client: client.id(),
-                                netem: cond.label.clone(),
+                                client: client.clone(),
+                                netem: cond.clone(),
                                 delay_ms,
                                 rep,
                             },
@@ -357,8 +428,8 @@ pub fn expand(spec: &CampaignSpec) -> Result<Vec<RunSpec>, SpecError> {
                         for rep in 0..rd.repetitions {
                             push(
                                 RunKind::Rd {
-                                    client: client.id(),
-                                    netem: cond.label.clone(),
+                                    client: client.clone(),
+                                    netem: cond.clone(),
                                     record: *record,
                                     delay_ms,
                                     rep,
@@ -377,8 +448,8 @@ pub fn expand(spec: &CampaignSpec) -> Result<Vec<RunSpec>, SpecError> {
                 for rep in 0..sel.repetitions {
                     push(
                         RunKind::Selection {
-                            client: client.id(),
-                            netem: cond.label.clone(),
+                            client: client.clone(),
+                            netem: cond.clone(),
                             rep,
                         },
                         &mut runs,
@@ -388,14 +459,14 @@ pub fn expand(spec: &CampaignSpec) -> Result<Vec<RunSpec>, SpecError> {
         }
     }
     if let Some(resolver) = &spec.resolver {
-        for rprofile in &resolvers {
+        for rlabel in &resolvers {
             for cond in &conditions {
                 for delay_ms in resolver.sweep.values() {
                     for rep in 0..resolver.repetitions {
                         push(
                             RunKind::Resolver {
-                                resolver: rprofile.name.to_string(),
-                                netem: cond.label.clone(),
+                                resolver: rlabel.clone(),
+                                netem: cond.clone(),
                                 delay_ms,
                                 rep,
                             },
@@ -475,7 +546,7 @@ mod tests {
         spec.selection = None;
         spec.resolver = None;
         let runs = expand(&spec).unwrap();
-        let distinct: std::collections::BTreeSet<String> = runs
+        let distinct: std::collections::BTreeSet<RunLabel> = runs
             .iter()
             .map(|r| match &r.kind {
                 RunKind::Cad { client, .. } => client.clone(),

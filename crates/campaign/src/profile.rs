@@ -259,6 +259,30 @@ pub fn stall_cross_checks(
     use crate::plan::RunKind;
     use lazyeye_infer::conformance::CAD_MIN_MS;
     use lazyeye_testbed::DelayedRecord;
+    use std::collections::HashMap;
+
+    // Each subject's representative, in one pass over the runs: its
+    // baseline delayed-A run with the highest delay, then the lowest
+    // index — the strongest stall signal, deterministically.
+    let mut reps: HashMap<&str, (u64, usize)> = HashMap::new();
+    for (i, run) in runs.iter().enumerate() {
+        let RunKind::Rd {
+            client,
+            record: DelayedRecord::A,
+            delay_ms,
+            ..
+        } = &run.kind
+        else {
+            continue;
+        };
+        if run.kind.cell_condition() != "delayed-a" {
+            continue;
+        }
+        let best = reps.entry(client).or_insert((*delay_ms, i));
+        if *delay_ms > best.0 {
+            *best = (*delay_ms, i);
+        }
+    }
 
     let mut out = Vec::new();
     for report in &section.profiles {
@@ -266,27 +290,10 @@ pub fn stall_cross_checks(
         let Some(inferred_stall) = profile.rd.waits_for_all_answers else {
             continue;
         };
-        // Representative: baseline delayed-A cell, max delay, lowest
-        // index — the strongest stall signal, deterministically.
-        let rep = runs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| {
-                matches!(
-                    &r.kind,
-                    RunKind::Rd { client, record: DelayedRecord::A, .. }
-                        if *client == profile.subject
-                ) && r.kind.cell_condition() == "delayed-a"
-            })
-            .max_by_key(|(i, r)| {
-                let RunKind::Rd { delay_ms, .. } = &r.kind else {
-                    unreachable!("filtered to RD runs");
-                };
-                (*delay_ms, std::cmp::Reverse(*i))
-            });
-        let Some((run_index, run)) = rep else {
+        let Some(&(_, run_index)) = reps.get(profile.subject.as_str()) else {
             continue;
         };
+        let run = &runs[run_index];
         let p = forensics::provenance(spec, run);
         let ceiling = profile.cad.estimate_ms.unwrap_or(CAD_MIN_MS);
         if (p.delay_ms as f64) <= ceiling {
@@ -414,6 +421,122 @@ mod tests {
         assert!(
             checks.iter().any(|c| !c.inferred_stall),
             "safari should not be verdicted as stalling"
+        );
+    }
+
+    /// The scan `stall_cross_checks` replaced: every run, once per
+    /// inferred profile.
+    fn per_profile_stall_cross_checks(
+        spec: &CampaignSpec,
+        runs: &[RunSpec],
+        section: &crate::inference::InferenceSection,
+    ) -> Vec<StallCrossCheck> {
+        use crate::plan::RunKind;
+        use lazyeye_infer::conformance::CAD_MIN_MS;
+        use lazyeye_testbed::DelayedRecord;
+
+        let mut out = Vec::new();
+        for report in &section.profiles {
+            let profile = &report.profile;
+            let Some(inferred_stall) = profile.rd.waits_for_all_answers else {
+                continue;
+            };
+            let rep = runs
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| {
+                    matches!(
+                        &r.kind,
+                        RunKind::Rd { client, record: DelayedRecord::A, .. }
+                            if **client == *profile.subject
+                    ) && r.kind.cell_condition() == "delayed-a"
+                })
+                .max_by_key(|(i, r)| {
+                    let RunKind::Rd { delay_ms, .. } = &r.kind else {
+                        unreachable!("filtered to RD runs");
+                    };
+                    (*delay_ms, std::cmp::Reverse(*i))
+                });
+            let Some((run_index, run)) = rep else {
+                continue;
+            };
+            let p = forensics::provenance(spec, run);
+            let ceiling = profile.cad.estimate_ms.unwrap_or(CAD_MIN_MS);
+            if (p.delay_ms as f64) <= ceiling {
+                continue;
+            }
+            let Some(attr) = attribute(&forensics::capture_trace(&p)) else {
+                continue;
+            };
+            out.push(StallCrossCheck {
+                subject: profile.subject.clone(),
+                inferred_stall,
+                attributed_stall: (attr.stall_ms as f64) > ceiling,
+                stall_ms: attr.stall_ms,
+                ceiling_ms: ceiling as u64,
+                run_index,
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn one_pass_stall_cross_checks_match_the_per_profile_scan() {
+        use crate::spec::{NetemSpec, RdPlan};
+        use lazyeye_testbed::DelayedRecord;
+
+        // Four clients, two repetitions (ties at the top delay) and a
+        // shaped condition whose delayed-A runs must not be picked.
+        let spec = CampaignSpec {
+            name: "stall-one-pass".into(),
+            seed: 5,
+            clients: vec![
+                "chrome-130.0".into(),
+                "safari-17.6".into(),
+                "firefox-132.0".into(),
+                "curl-7.88.1".into(),
+            ],
+            netem: vec![
+                NetemSpec::baseline(),
+                NetemSpec {
+                    label: "jittery".into(),
+                    loss_pct: 0.0,
+                    jitter_ms: 3,
+                    duplicate_pct: 0.0,
+                },
+            ],
+            cad: Some(CadCaseConfig {
+                sweep: SweepSpec::new(0, 400, 100),
+                repetitions: 1,
+            }),
+            rd: Some(RdPlan {
+                records: vec![DelayedRecord::Aaaa, DelayedRecord::A],
+                sweep: SweepSpec::new(0, 400, 200),
+                repetitions: 2,
+            }),
+            selection: None,
+            resolver: None,
+            ..CampaignSpec::default()
+        };
+        let (runs, outputs) = crate::run_campaign_resumable_with(
+            &spec,
+            2,
+            false,
+            &std::collections::BTreeMap::new(),
+            |_, _| {},
+            |_, _| {},
+        )
+        .unwrap();
+        let report = crate::build_report_with(&spec, &runs, &outputs, true);
+        let section = report.inference.expect("classified report");
+        let checks = stall_cross_checks(&spec, &runs, &section);
+        assert!(
+            checks.len() >= 2,
+            "expected several measurable stall cross-checks, got {checks:?}"
+        );
+        assert_eq!(
+            checks,
+            per_profile_stall_cross_checks(&spec, &runs, &section)
         );
     }
 }

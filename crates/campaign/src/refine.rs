@@ -19,7 +19,7 @@ use lazyeye_testbed::{switchover_bracket, DelayedRecord, SweepSpec};
 
 use crate::aggregate::Aggregator;
 use crate::executor::RunOutput;
-use crate::plan::{RunKind, RunSpec};
+use crate::plan::{RunKind, RunLabel, RunSpec};
 use crate::spec::CampaignSpec;
 
 /// The refinement pass's domain-separation tag: the ASCII bytes of
@@ -52,10 +52,33 @@ pub fn plan_refinement(
     };
     debug_assert_eq!(pass1_runs.len(), pass1_outputs.len());
     let mut agg = Aggregator::new();
+    // Pass 1's client and netem labels, which the refined runs share.
+    // Runs arrive grouped by label, so most runs hold the previous run's
+    // label allocations and add nothing.
+    let mut labels: Vec<RunLabel> = Vec::new();
+    let mut last = (std::ptr::null(), std::ptr::null());
     for (run, output) in pass1_runs.iter().zip(pass1_outputs) {
         agg.fold(run, output);
+        if let RunKind::Cad { client, netem, .. } | RunKind::Rd { client, netem, .. } = &run.kind {
+            let here = (client.as_ptr(), netem.as_ptr());
+            if here != last {
+                last = here;
+                for label in [client, netem] {
+                    if !labels.contains(label) {
+                        labels.push(label.clone());
+                    }
+                }
+            }
+        }
     }
     let (cells, _) = agg.finish();
+    let label = |name: &str| {
+        labels
+            .iter()
+            .find(|l| **l == *name)
+            .cloned()
+            .unwrap_or_else(|| RunLabel::from(name))
+    };
 
     let base = pass1_runs.len() as u64;
     let mut runs: Vec<RunSpec> = Vec::new();
@@ -79,15 +102,17 @@ pub fn plan_refinement(
         let Some(sweep) = SweepSpec::refine_within(lo, hi, step) else {
             continue;
         };
+        let client = label(&cell.subject);
         match cell.case.as_str() {
             "cad" => {
+                let netem = label(&cell.condition);
                 let repetitions = spec.cad.as_ref().map_or(1, |c| c.repetitions);
                 for delay_ms in sweep.values() {
                     for rep in 0..repetitions {
                         push(
                             RunKind::Cad {
-                                client: cell.subject.clone(),
-                                netem: cell.condition.clone(),
+                                client: client.clone(),
+                                netem: netem.clone(),
                                 delay_ms,
                                 rep,
                             },
@@ -103,13 +128,13 @@ pub fn plan_refinement(
                     "delayed-a" => DelayedRecord::A,
                     other => unreachable!("unknown rd condition {other:?}"),
                 };
-                let netem = netem.to_string();
+                let netem = label(netem);
                 let repetitions = spec.rd.as_ref().map_or(1, |r| r.repetitions);
                 for delay_ms in sweep.values() {
                     for rep in 0..repetitions {
                         push(
                             RunKind::Rd {
-                                client: cell.subject.clone(),
+                                client: client.clone(),
                                 netem: netem.clone(),
                                 record,
                                 delay_ms,
