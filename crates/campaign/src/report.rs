@@ -2,7 +2,7 @@
 //! folded cells plus the Table-2 style feature roll-up, the optional
 //! inference section, and report-to-report diffing.
 
-use lazyeye_infer::{fmt_opt as delta_fmt_opt, push_delta, FieldDelta, Verdict};
+use lazyeye_infer::{fmt_opt, push_delta, FieldDelta, Verdict};
 use lazyeye_json::{FromJson, Json, JsonError, ToJson};
 use lazyeye_testbed::Table;
 
@@ -41,13 +41,6 @@ lazyeye_json::impl_json_struct!(CampaignReport {
     features,
     inference,
 });
-
-fn opt<T: std::fmt::Display>(v: &Option<T>) -> String {
-    match v {
-        Some(x) => x.to_string(),
-        None => "-".to_string(),
-    }
-}
 
 /// The fixed CSV column set, shared by header and rows.
 const CSV_COLUMNS: [&str; 17] = [
@@ -113,18 +106,18 @@ impl CampaignReport {
                 c.condition.clone(),
                 c.runs.to_string(),
                 c.ok_runs.to_string(),
-                opt(&c.v6_share_pct),
-                opt(&c.last_v6_delay_ms),
-                opt(&c.first_v4_delay_ms),
-                opt(&c.delay_ms_min),
-                opt(&c.delay_ms_median),
-                opt(&c.delay_ms_p95),
-                opt(&c.implements_cad),
-                opt(&c.implements_rd),
-                opt(&c.aaaa_first),
-                opt(&c.v6_addrs_used),
-                opt(&c.v4_addrs_used),
-                opt(&c.max_v6_packets),
+                fmt_opt(&c.v6_share_pct),
+                fmt_opt(&c.last_v6_delay_ms),
+                fmt_opt(&c.first_v4_delay_ms),
+                fmt_opt(&c.delay_ms_min),
+                fmt_opt(&c.delay_ms_median),
+                fmt_opt(&c.delay_ms_p95),
+                fmt_opt(&c.implements_cad),
+                fmt_opt(&c.implements_rd),
+                fmt_opt(&c.aaaa_first),
+                fmt_opt(&c.v6_addrs_used),
+                fmt_opt(&c.v4_addrs_used),
+                fmt_opt(&c.max_v6_packets),
             ];
             // Subjects/conditions are ids without commas or quotes, but
             // quote defensively anyway.
@@ -199,35 +192,35 @@ impl CampaignReport {
                         c.condition.clone(),
                         c.runs.to_string(),
                         c.ok_runs.to_string(),
-                        opt(&c.last_v6_delay_ms),
-                        opt(&c.first_v4_delay_ms),
-                        opt(&c.delay_ms_median),
-                        opt(&c.delay_ms_p95),
-                        opt(&c.aaaa_first),
+                        fmt_opt(&c.last_v6_delay_ms),
+                        fmt_opt(&c.first_v4_delay_ms),
+                        fmt_opt(&c.delay_ms_median),
+                        fmt_opt(&c.delay_ms_p95),
+                        fmt_opt(&c.aaaa_first),
                     ],
                     "rd" => vec![
                         c.subject.clone(),
                         c.condition.clone(),
                         c.runs.to_string(),
                         c.ok_runs.to_string(),
-                        opt(&c.implements_rd),
-                        opt(&c.delay_ms_median),
-                        opt(&c.delay_ms_p95),
+                        fmt_opt(&c.implements_rd),
+                        fmt_opt(&c.delay_ms_median),
+                        fmt_opt(&c.delay_ms_p95),
                     ],
                     "selection" => vec![
                         c.subject.clone(),
                         c.runs.to_string(),
-                        opt(&c.v6_addrs_used),
-                        opt(&c.v4_addrs_used),
+                        fmt_opt(&c.v6_addrs_used),
+                        fmt_opt(&c.v4_addrs_used),
                     ],
                     _ => vec![
                         c.subject.clone(),
                         c.runs.to_string(),
                         c.ok_runs.to_string(),
-                        opt(&c.v6_share_pct),
-                        opt(&c.last_v6_delay_ms),
-                        opt(&c.delay_ms_median),
-                        opt(&c.max_v6_packets),
+                        fmt_opt(&c.v6_share_pct),
+                        fmt_opt(&c.last_v6_delay_ms),
+                        fmt_opt(&c.delay_ms_median),
+                        fmt_opt(&c.max_v6_packets),
                     ],
                 };
                 t.row(row);
@@ -300,12 +293,12 @@ fn render_inference(section: &InferenceSection) -> String {
         let prof = &p.profile;
         t.row(vec![
             prof.subject.clone(),
-            opt(&prof.cad.estimate_ms),
-            opt(&prof.cad.last_v6_delay_ms),
-            opt(&prof.cad.first_v4_delay_ms),
+            fmt_opt(&prof.cad.estimate_ms),
+            fmt_opt(&prof.cad.last_v6_delay_ms),
+            fmt_opt(&prof.cad.first_v4_delay_ms),
             prof.cad.misfits.to_string(),
-            opt(&prof.rd.implemented),
-            opt(&prof.rd.waits_for_all_answers),
+            fmt_opt(&prof.rd.implemented),
+            fmt_opt(&prof.rd.waits_for_all_answers),
             format!("{:?}", prof.sorting),
         ]);
     }
@@ -438,53 +431,53 @@ fn diff_cells(key: &str, old: &CellReport, new: &CellReport, out: &mut Vec<Field
     field("ok_runs", old.ok_runs.to_string(), new.ok_runs.to_string());
     field(
         "v6_share_pct",
-        delta_fmt_opt(&old.v6_share_pct),
-        delta_fmt_opt(&new.v6_share_pct),
+        fmt_opt(&old.v6_share_pct),
+        fmt_opt(&new.v6_share_pct),
     );
     field(
         "last_v6_delay_ms",
-        delta_fmt_opt(&old.last_v6_delay_ms),
-        delta_fmt_opt(&new.last_v6_delay_ms),
+        fmt_opt(&old.last_v6_delay_ms),
+        fmt_opt(&new.last_v6_delay_ms),
     );
     field(
         "first_v4_delay_ms",
-        delta_fmt_opt(&old.first_v4_delay_ms),
-        delta_fmt_opt(&new.first_v4_delay_ms),
+        fmt_opt(&old.first_v4_delay_ms),
+        fmt_opt(&new.first_v4_delay_ms),
     );
     field(
         "delay_ms_median",
-        delta_fmt_opt(&old.delay_ms_median),
-        delta_fmt_opt(&new.delay_ms_median),
+        fmt_opt(&old.delay_ms_median),
+        fmt_opt(&new.delay_ms_median),
     );
     field(
         "implements_cad",
-        delta_fmt_opt(&old.implements_cad),
-        delta_fmt_opt(&new.implements_cad),
+        fmt_opt(&old.implements_cad),
+        fmt_opt(&new.implements_cad),
     );
     field(
         "implements_rd",
-        delta_fmt_opt(&old.implements_rd),
-        delta_fmt_opt(&new.implements_rd),
+        fmt_opt(&old.implements_rd),
+        fmt_opt(&new.implements_rd),
     );
     field(
         "aaaa_first",
-        delta_fmt_opt(&old.aaaa_first),
-        delta_fmt_opt(&new.aaaa_first),
+        fmt_opt(&old.aaaa_first),
+        fmt_opt(&new.aaaa_first),
     );
     field(
         "v6_addrs_used",
-        delta_fmt_opt(&old.v6_addrs_used),
-        delta_fmt_opt(&new.v6_addrs_used),
+        fmt_opt(&old.v6_addrs_used),
+        fmt_opt(&new.v6_addrs_used),
     );
     field(
         "v4_addrs_used",
-        delta_fmt_opt(&old.v4_addrs_used),
-        delta_fmt_opt(&new.v4_addrs_used),
+        fmt_opt(&old.v4_addrs_used),
+        fmt_opt(&new.v4_addrs_used),
     );
     field(
         "max_v6_packets",
-        delta_fmt_opt(&old.max_v6_packets),
-        delta_fmt_opt(&new.max_v6_packets),
+        fmt_opt(&old.max_v6_packets),
+        fmt_opt(&new.max_v6_packets),
     );
 }
 

@@ -1,12 +1,13 @@
 //! The adaptive two-pass engine's guarantees: refinement narrows every
-//! detected switchover to the refine step, and neither a kill/resume nor
-//! a shard/merge split changes a single report byte.
+//! detected switchover to the refine step, and neither a kill/resume (at
+//! every point of both passes) nor a shard/merge split (every 2- and
+//! 3-way split, merged in every order) changes a single report byte.
 
 use std::collections::BTreeMap;
 
 use lazyeye_campaign::{
     expand, finish_from_checkpoint_with, merge_checkpoints, run_campaign, run_campaign_resumable,
-    run_shard, CampaignSpec, Checkpoint, NetemSpec, RdPlan, Shard,
+    run_shard, CampaignReport, CampaignSpec, Checkpoint, NetemSpec, RdPlan, Shard,
 };
 use lazyeye_testbed::{switchover_bracket, CadCaseConfig, DelayedRecord, SweepSpec};
 
@@ -71,33 +72,61 @@ fn resume_after_kill_reproduces_the_report_byte_for_byte() {
     let spec = coarse_spec(11);
     let uninterrupted = run_campaign(&spec, 4, |_, _| {}).unwrap();
 
-    // "Kill" a campaign partway: capture the checkpoint exactly as the
-    // CLI would have last written it — after an arbitrary number of runs
-    // completed in scheduling (not index) order.
-    let kill_after = 7;
-    let pass1_runs = expand(&spec).unwrap().len() as u64;
-    let mut ckpt = Checkpoint::new(spec.clone(), pass1_runs, None);
-    let _ = run_campaign_resumable(
+    // Every result of both passes in the order the result hook saw it:
+    // scheduling, not index, order.
+    let mut seen = Vec::new();
+    let (runs, _) = run_campaign_resumable(
         &spec,
         4,
         &BTreeMap::new(),
         |_, _| {},
-        |run, out| {
-            if ckpt.completed_runs() < kill_after {
-                ckpt.record(run.index, out.clone());
-            }
-        },
+        |run, out| seen.push((run.index, out.clone())),
     )
     .unwrap();
-    assert_eq!(ckpt.completed_runs(), kill_after);
+    assert_eq!(seen.len(), runs.len());
+    assert!(
+        runs.iter().any(|r| r.refined),
+        "kills must also land in the refinement pass"
+    );
 
-    // The checkpoint survives a disk round-trip, then finishes the
-    // campaign: the report must not differ in a single byte.
-    let reloaded = Checkpoint::from_json_str(&ckpt.to_json_string()).unwrap();
-    let resumed = finish_from_checkpoint_with(&reloaded, 4, false, |_, _| {}, |_, _| {}).unwrap();
-    assert_eq!(resumed.to_json(), uninterrupted.to_json());
-    assert_eq!(resumed.to_csv(), uninterrupted.to_csv());
-    assert_eq!(resumed.render_text(), uninterrupted.render_text());
+    // "Kill" the campaign after every k results: the checkpoint the CLI
+    // would last have written holds exactly the first k. It survives a
+    // disk round-trip, then finishes the campaign: the report must not
+    // differ in a single byte.
+    let pass1_runs = expand(&spec).unwrap().len() as u64;
+    for k in 0..=seen.len() {
+        let mut ckpt = Checkpoint::new(spec.clone(), pass1_runs, None);
+        for (index, out) in &seen[..k] {
+            ckpt.record(*index, out.clone());
+        }
+        let reloaded = Checkpoint::from_json_str(&ckpt.to_json_string()).unwrap();
+        let resumed =
+            finish_from_checkpoint_with(&reloaded, 4, false, |_, _| {}, |_, _| {}).unwrap();
+        assert_same_report(&resumed, &uninterrupted, &format!("killed after {k}"));
+    }
+}
+
+/// Asserts byte-identical JSON, CSV and text renderings.
+fn assert_same_report(got: &CampaignReport, want: &CampaignReport, case: &str) {
+    assert_eq!(got.to_json(), want.to_json(), "{case}: JSON");
+    assert_eq!(got.to_csv(), want.to_csv(), "{case}: CSV");
+    assert_eq!(got.render_text(), want.render_text(), "{case}: text");
+}
+
+/// Every ordering of `0..n`.
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![vec![]];
+    }
+    let mut out = Vec::new();
+    for rest in permutations(n - 1) {
+        for at in 0..=rest.len() {
+            let mut order = rest.clone();
+            order.insert(at, n - 1);
+            out.push(order);
+        }
+    }
+    out
 }
 
 #[test]
@@ -129,22 +158,31 @@ fn shard_and_merge_reproduces_the_report_byte_for_byte() {
     let spec = coarse_spec(17);
     let single = run_campaign(&spec, 1, |_, _| {}).unwrap();
 
-    // Three "machines", each executing its slice of the first pass, each
-    // partial surviving a JSON round-trip as if shipped between hosts.
-    let partials: Vec<Checkpoint> = (0..3)
-        .map(|i| {
-            let shard = Shard { index: i, count: 3 };
-            let part = run_shard(&spec, 2, shard, None, |_, _| {}, |_| {}).unwrap();
-            assert!(part.missing().is_empty(), "shard {i} completed");
-            Checkpoint::from_json_str(&part.to_json_string()).unwrap()
-        })
-        .collect();
+    for count in [2, 3] {
+        // `count` "machines", each executing its slice of the first pass,
+        // each partial surviving a JSON round-trip as if shipped between
+        // hosts.
+        let partials: Vec<Checkpoint> = (0..count)
+            .map(|i| {
+                let shard = Shard { index: i, count };
+                let part = run_shard(&spec, 2, shard, None, |_, _| {}, |_| {}).unwrap();
+                assert!(part.missing().is_empty(), "shard {i}/{count} completed");
+                Checkpoint::from_json_str(&part.to_json_string()).unwrap()
+            })
+            .collect();
 
-    let merged = merge_checkpoints(partials).unwrap();
-    assert!(merged.missing().is_empty(), "shards cover pass 1");
-    let report = finish_from_checkpoint_with(&merged, 4, false, |_, _| {}, |_, _| {}).unwrap();
-    assert_eq!(report.to_json(), single.to_json());
-    assert_eq!(report.to_csv(), single.to_csv());
+        for order in permutations(partials.len()) {
+            let merged = merge_checkpoints(order.iter().map(|&i| partials[i].clone())).unwrap();
+            assert!(merged.missing().is_empty(), "shards cover pass 1");
+            let report =
+                finish_from_checkpoint_with(&merged, 4, false, |_, _| {}, |_, _| {}).unwrap();
+            assert_same_report(
+                &report,
+                &single,
+                &format!("{count}-way merge in order {order:?}"),
+            );
+        }
+    }
 }
 
 #[test]

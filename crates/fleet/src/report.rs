@@ -10,9 +10,9 @@
 use std::sync::Arc;
 
 use lazyeye_infer::{
-    infer_profile, infer_resolver_profile, merge_capability, score_profile, score_resolver,
-    CaseKind, ConformanceEntry, InferredProfile, InferredResolverProfile, Observation, RdEstimate,
-    Verdict,
+    fmt_opt, infer_profile, infer_resolver_profile, merge_capability, score_profile,
+    score_resolver, CaseKind, ConformanceEntry, InferredProfile, InferredResolverProfile,
+    Observation, RdEstimate, Verdict,
 };
 use lazyeye_json::{FromJson, Json, JsonError, ToJson};
 use lazyeye_testbed::Table;
@@ -543,13 +543,6 @@ pub fn build_report(spec: &FleetSpec, plan: &FleetPlan, outputs: &[SessionOutput
     }
 }
 
-fn opt<T: std::fmt::Display>(v: &Option<T>) -> String {
-    match v {
-        Some(x) => x.to_string(),
-        None => "-".to_string(),
-    }
-}
-
 /// The fixed CSV column set, shared by header and rows.
 const CSV_COLUMNS: [&str; 15] = [
     "member",
@@ -615,9 +608,9 @@ impl FleetReport {
                 m.cad_sessions.to_string(),
                 m.rd_sessions.to_string(),
                 m.grid.clone(),
-                opt(&m.cad_last_v6_ms),
-                opt(&m.cad_first_v4_ms),
-                opt(&m.cad_point_ms),
+                fmt_opt(&m.cad_last_v6_ms),
+                fmt_opt(&m.cad_first_v4_ms),
+                fmt_opt(&m.cad_point_ms),
                 m.cad_dynamic.to_string(),
                 m.mixed_tiers.to_string(),
                 m.rd_verdict.clone(),
@@ -656,7 +649,7 @@ impl FleetReport {
             let cad = if m.cad_dynamic {
                 "dynamic".to_string()
             } else {
-                opt(&m.cad_point_ms)
+                fmt_opt(&m.cad_point_ms)
             };
             t.row(vec![
                 m.member.clone(),
@@ -710,7 +703,7 @@ impl FleetReport {
                 r.stack.clone(),
                 r.runs.to_string(),
                 r.capable.to_string(),
-                opt(&r.aaaa_first_share_pct),
+                fmt_opt(&r.aaaa_first_share_pct),
                 verdict,
             ]);
         }
@@ -758,8 +751,8 @@ impl FleetReport {
                     "  bracket miss {} [{}]: ({}, {}] misses the configured CAD\n",
                     m.member,
                     m.condition,
-                    opt(&m.cad_last_v6_ms),
-                    opt(&m.cad_first_v4_ms),
+                    fmt_opt(&m.cad_last_v6_ms),
+                    fmt_opt(&m.cad_first_v4_ms),
                 ));
             }
         }

@@ -876,16 +876,6 @@ pub fn summarize_resolver(samples: &[ResolverSample]) -> ResolverStats {
     }
 }
 
-/// Formats an optional IPv6 address count/delay for tables.
-pub fn fmt_opt<T: std::fmt::Display>(v: Option<T>) -> String {
-    v.map(|x| x.to_string()).unwrap_or_else(|| "-".into())
-}
-
-/// Formats an optional float with one decimal.
-pub fn fmt_opt_f64(v: Option<f64>) -> String {
-    v.map(|x| format!("{x:.1}")).unwrap_or_else(|| "-".into())
-}
-
 /// Tracks which IP addresses the samples used — exposed for tests.
 pub fn distinct_families(order: &[Family]) -> (usize, usize) {
     (

@@ -19,15 +19,24 @@
 //! lazyeye campaign --resume ckpt.json  # continue a killed campaign
 //! lazyeye campaign --config spec.json --shard 0/4 --out part0
 //! lazyeye campaign --merge part0.json part1.json part2.json part3.json
+//! lazyeye campaign --diff old.json new.json
 //! lazyeye campaign --default --timeline t.json --metrics-out m.prom --progress
 //! lazyeye campaign --default --classify --flamegraph flame.collapsed
 //! lazyeye profile traces.json --flamegraph flame.collapsed
 //! ```
 //!
 //! Unknown flags are hard errors — a typo must never silently run a
-//! different measurement than asked for.
+//! different measurement than asked for. So are flags the chosen mode has
+//! no use for ([`CONFLICTS`]) and values that would measure nothing
+//! (`--reps 0`, an empty sweep).
+//!
+//! `campaign`, `fleet` and `infer` share one option layer: their flags are
+//! parsed and checked once into [`RunOptions`] before anything runs. Every
+//! command returns a [`Stop`] on failure, and `main` turns it into an exit
+//! status in one place.
 
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use lazy_eye_inspection::campaign::{
@@ -39,11 +48,12 @@ use lazy_eye_inspection::clients::{all_measured_clients, ClientProfile};
 use lazy_eye_inspection::exec::{merge_partials, write_atomic, Partial, Study};
 use lazy_eye_inspection::fleet::{self, run_fleet, run_fleet_shard, Fleet, FleetSpec};
 use lazy_eye_inspection::infer::{
-    diff_profiles, fmt_opt, infer_resolver_traces, infer_traces, score_profile, InferredProfile,
-    InferredResolverReport,
+    diff_profiles, fmt_opt, infer_resolver_traces, infer_traces, score_profile, FieldDelta,
+    InferredProfile, InferredResolverReport,
 };
-use lazy_eye_inspection::json::{FromJson, Json, ToJson};
+use lazy_eye_inspection::json::{FromJson, Json, JsonError, ToJson};
 use lazy_eye_inspection::net::Family;
+use lazy_eye_inspection::obs::bundle::Bundle;
 use lazy_eye_inspection::obs::profile::FlameGraph;
 use lazy_eye_inspection::resolver::all_profiles;
 use lazy_eye_inspection::testbed::{
@@ -58,47 +68,60 @@ use lazy_eye_inspection::trace::{Trace, TraceSet};
 /// Completed runs between periodic checkpoint saves.
 const CHECKPOINT_EVERY: u64 = 32;
 
-fn find_client(id: &str) -> Option<ClientProfile> {
-    all_measured_clients().into_iter().find(|c| c.id() == id)
+/// Why a command stopped short of success.
+enum Stop {
+    /// `lazyeye: <message>` on stderr, exit status 1.
+    Fail(String),
+    /// The usage text, exit status 2.
+    Usage,
+    /// Exit status 1; the command has already said why.
+    Quiet,
 }
 
-/// How a flag consumes arguments.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FlagKind {
-    /// Boolean presence flag.
-    Switch,
-    /// Takes one value; a repeat overrides (last wins).
-    Value,
-    /// Takes one value per occurrence; repeats accumulate.
-    Multi,
-}
-
-/// One flag's shape: name and how it consumes arguments.
-struct Flag {
-    name: &'static str,
-    kind: FlagKind,
-}
-
-const fn val(name: &'static str) -> Flag {
-    Flag {
-        name,
-        kind: FlagKind::Value,
+impl From<String> for Stop {
+    fn from(msg: String) -> Stop {
+        Stop::Fail(msg)
     }
 }
 
-const fn switch(name: &'static str) -> Flag {
-    Flag {
-        name,
-        kind: FlagKind::Switch,
+impl From<&str> for Stop {
+    fn from(msg: &str) -> Stop {
+        Stop::Fail(msg.to_string())
     }
 }
 
-const fn multi(name: &'static str) -> Flag {
-    Flag {
-        name,
-        kind: FlagKind::Multi,
-    }
-}
+type Outcome = Result<(), Stop>;
+
+/// Flags that take no value. `--merge` takes one value per occurrence and
+/// accumulates; every other flag takes one value and a repeat overrides.
+const SWITCHES: &[&str] = &[
+    "--default",
+    "--classify",
+    "--fast-path",
+    "--progress",
+    "--print-spec",
+];
+
+/// Flags of every run command (`campaign`, `fleet`, `infer`).
+const RUN_FLAGS: &[&str] = &[
+    "--jobs",
+    "--seed",
+    "--format",
+    "--timeline",
+    "--metrics-out",
+    "--progress",
+];
+
+/// Flags the two studies (`campaign`, `fleet`) add.
+const STUDY_FLAGS: &[&str] = &[
+    "--default",
+    "--print-spec",
+    "--out",
+    "--shard",
+    "--merge",
+    "--flight-record",
+    "--flamegraph",
+];
 
 /// Parsed command-line flags.
 struct Flags(HashMap<String, Vec<String>>);
@@ -109,7 +132,11 @@ impl Flags {
         self.0.get(name).and_then(|v| v.last()).map(String::as_str)
     }
 
-    /// Every occurrence of a `Multi` flag, in order.
+    fn value(&self, name: &str) -> Option<String> {
+        self.get(name).map(String::from)
+    }
+
+    /// Every occurrence of `--merge`, in order.
     fn get_all(&self, name: &str) -> &[String] {
         self.0.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
@@ -118,46 +145,68 @@ impl Flags {
     fn contains(&self, name: &str) -> bool {
         self.0.contains_key(name)
     }
+
+    /// The flag's value as a number, if present.
+    fn num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("flag {name}: invalid value {v:?}"))
+            })
+            .transpose()
+    }
+
+    /// A count flag's value, if present: a count of 0 would measure
+    /// nothing, so it is refused.
+    fn count<T: std::str::FromStr + PartialEq + From<u8>>(
+        &self,
+        name: &str,
+    ) -> Result<Option<T>, String> {
+        match self.num(name)? {
+            Some(n) if n == T::from(0) => Err(format!("flag {name}: must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
+    /// `--format`, text by default; `allowed` lists what the command
+    /// renders.
+    fn format(&self, allowed: &[Format]) -> Result<Format, String> {
+        let Some(v) = self.get("--format") else {
+            return Ok(Format::Text);
+        };
+        allowed
+            .iter()
+            .copied()
+            .find(|f| f.name() == v)
+            .ok_or_else(|| {
+                let names: Vec<&str> = allowed.iter().map(|f| f.name()).collect();
+                format!("flag --format: expected {}, got {v:?}", names.join("|"))
+            })
+    }
 }
 
 /// Parses `args` against an allowlist. Unknown flags, missing values and
 /// stray positionals are errors — never silently ignored.
-fn parse_flags(args: &[String], allowed: &[Flag]) -> Result<Flags, String> {
+fn parse_flags(args: &[String], allowed: &[&str]) -> Result<Flags, String> {
     let mut out: HashMap<String, Vec<String>> = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let Some(spec) = allowed.iter().find(|f| f.name == arg) else {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !allowed.contains(&arg.as_str()) {
             return Err(format!("unknown flag {arg:?}"));
-        };
-        match spec.kind {
-            FlagKind::Switch => {
-                out.entry(arg.clone()).or_default();
-                i += 1;
-            }
-            FlagKind::Value | FlagKind::Multi => {
-                let Some(value) = args.get(i + 1) else {
-                    return Err(format!("flag {arg} requires a value"));
-                };
-                let entry = out.entry(arg.clone()).or_default();
-                if spec.kind == FlagKind::Value {
-                    entry.clear();
-                }
-                entry.push(value.clone());
-                i += 2;
-            }
         }
+        let entry = out.entry(arg.clone()).or_default();
+        if SWITCHES.contains(&arg.as_str()) {
+            continue;
+        }
+        let Some(value) = args.next() else {
+            return Err(format!("flag {arg} requires a value"));
+        };
+        if arg != "--merge" {
+            entry.clear();
+        }
+        entry.push(value.clone());
     }
     Ok(Flags(out))
-}
-
-fn parse_num<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("flag {name}: invalid value {v:?}")),
-    }
 }
 
 /// Output format shared by the table-printing commands.
@@ -168,15 +217,248 @@ enum Format {
     Csv,
 }
 
-fn parse_format(flags: &Flags) -> Result<Format, String> {
-    match flags.get("--format") {
-        None | Some("text") => Ok(Format::Text),
-        Some("json") => Ok(Format::Json),
-        Some("csv") => Ok(Format::Csv),
-        Some(other) => Err(format!(
-            "flag --format: expected text|json|csv, got {other:?}"
-        )),
+impl Format {
+    fn name(self) -> &'static str {
+        match self {
+            Format::Text => "text",
+            Format::Json => "json",
+            Format::Csv => "csv",
+        }
     }
+}
+
+const ALL_FORMATS: &[Format] = &[Format::Text, Format::Json, Format::Csv];
+const TEXT_JSON: &[Format] = &[Format::Text, Format::Json];
+
+/// A run mode that has no use for some flags.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// `--merge`: the partials carry spec, seed and shard.
+    Merge,
+    /// `--resume`: the checkpoint carries spec and seed.
+    Resume,
+    /// `--shard`, fresh or resumed: a partial is always JSON, and report
+    /// options apply where the partials are merged.
+    Shard,
+    /// `infer --trace`: the traces are already measured.
+    Trace,
+}
+
+const MERGE_WITH: &str = "--merge cannot be combined with {flag}";
+const RESUME_WITH: &str =
+    "--resume reads spec and seed from the checkpoint; drop --config/--default/--seed";
+
+/// Every flag a mode refuses, with the message; the first matching row is
+/// reported. `{flag}` stands for the flag, `{study}` for the engine.
+const CONFLICTS: &[(Mode, &str, &str)] = &[
+    (
+        Mode::Merge,
+        "--fast-path",
+        "--fast-path does not apply to --merge; it only affects local runs",
+    ),
+    (
+        Mode::Merge,
+        "--flamegraph",
+        "--flamegraph applies to local full {study} runs, not --merge",
+    ),
+    (Mode::Merge, "--config", MERGE_WITH),
+    (Mode::Merge, "--spec", MERGE_WITH),
+    (Mode::Merge, "--default", MERGE_WITH),
+    (Mode::Merge, "--seed", MERGE_WITH),
+    (Mode::Merge, "--sessions", MERGE_WITH),
+    (Mode::Merge, "--reps", MERGE_WITH),
+    (Mode::Merge, "--shard", MERGE_WITH),
+    (Mode::Merge, "--resume", MERGE_WITH),
+    (Mode::Merge, "--checkpoint", MERGE_WITH),
+    (Mode::Resume, "--config", RESUME_WITH),
+    (Mode::Resume, "--default", RESUME_WITH),
+    (Mode::Resume, "--seed", RESUME_WITH),
+    (
+        Mode::Shard,
+        "--format",
+        "--format does not apply to shard runs; partials are always JSON",
+    ),
+    (
+        Mode::Shard,
+        "--classify",
+        "--classify does not apply to shard runs; classify at --merge",
+    ),
+    (
+        Mode::Shard,
+        "--fast-path",
+        "--fast-path does not apply to shard runs; it only affects whole local runs",
+    ),
+    (
+        Mode::Shard,
+        "--flamegraph",
+        "--flamegraph does not apply to shard runs; profile the merge",
+    ),
+    (
+        Mode::Trace,
+        "--seed",
+        "--seed does not apply to --trace; the traces are already measured",
+    ),
+];
+
+/// Refuses the first flag in `flags` that `mode` has no use for.
+fn refuse(flags: &Flags, mode: Mode, study: &str) -> Result<(), String> {
+    match CONFLICTS
+        .iter()
+        .find(|(m, flag, _)| *m == mode && flags.contains(flag))
+    {
+        Some((_, flag, msg)) => Err(msg.replace("{flag}", flag).replace("{study}", study)),
+        None => Ok(()),
+    }
+}
+
+/// The options `campaign`, `fleet` and `infer` share, parsed and checked
+/// once before anything runs.
+struct RunOptions {
+    jobs: usize,
+    seed: Option<u64>,
+    format: Format,
+    /// `--config` (campaign), `--spec` (fleet) or `--campaign` (infer).
+    spec: Option<String>,
+    default: bool,
+    out: Option<String>,
+    shard: Option<Shard>,
+    merge: Vec<String>,
+    checkpoint: Option<String>,
+    resume: Option<String>,
+    classify: bool,
+    fast_path: bool,
+    flamegraph: Option<String>,
+    obs: ObsOptions,
+}
+
+impl RunOptions {
+    /// Parses the shared options of a command rendering `formats`, and
+    /// refuses what the run's mode has no use for (`study` names the
+    /// engine in those messages).
+    fn parse(flags: &Flags, formats: &[Format], study: &str) -> Result<RunOptions, String> {
+        let jobs = match flags.count("--jobs")? {
+            Some(n) => n,
+            None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        };
+        let opts = RunOptions {
+            jobs,
+            seed: flags.num("--seed")?,
+            format: flags.format(formats)?,
+            spec: ["--config", "--spec", "--campaign"]
+                .iter()
+                .find_map(|f| flags.value(f)),
+            default: flags.contains("--default"),
+            out: flags.value("--out"),
+            shard: flags.get("--shard").map(Shard::parse).transpose()?,
+            merge: flags.get_all("--merge").to_vec(),
+            checkpoint: flags.value("--checkpoint"),
+            resume: flags.value("--resume"),
+            classify: flags.contains("--classify"),
+            fast_path: flags.contains("--fast-path"),
+            flamegraph: flags.value("--flamegraph"),
+            obs: ObsOptions::parse(flags),
+        };
+        let mode = if !opts.merge.is_empty() {
+            Mode::Merge
+        } else if opts.resume.is_some() {
+            Mode::Resume
+        } else if opts.shard.is_some() {
+            Mode::Shard
+        } else if flags.contains("--trace") {
+            Mode::Trace
+        } else {
+            return Ok(opts);
+        };
+        refuse(flags, mode, study)?;
+        Ok(opts)
+    }
+
+    /// The spec the options name, with `--seed` applied.
+    fn load_spec<S: Spec>(&self) -> Result<S, String> {
+        let mut spec = match (&self.spec, self.default) {
+            (Some(_), true) => {
+                return Err(format!("{} and --default are mutually exclusive", S::FLAG))
+            }
+            (Some(path), false) => {
+                S::parse(&read(path)?).map_err(|e| format!("bad {}: {e}", S::WHAT))?
+            }
+            (None, true) => S::default(),
+            (None, false) => return Err(S::MISSING.to_string()),
+        };
+        if let Some(seed) = self.seed {
+            spec.set_seed(seed);
+        }
+        Ok(spec)
+    }
+
+    /// Where checkpoints go: `--checkpoint`, else where a resumed run left
+    /// off.
+    fn checkpoint_path(&self) -> Option<String> {
+        self.checkpoint.clone().or_else(|| self.resume.clone())
+    }
+}
+
+/// A spec named by a file flag or `--default`.
+trait Spec: Default {
+    /// The flag naming its file.
+    const FLAG: &'static str;
+    /// What a parse error calls it.
+    const WHAT: &'static str;
+    /// The error when neither a file nor `--default` is given.
+    const MISSING: &'static str;
+    fn parse(text: &str) -> Result<Self, JsonError>;
+    fn set_seed(&mut self, seed: u64);
+}
+
+impl Spec for CampaignSpec {
+    const FLAG: &'static str = "--config";
+    const WHAT: &'static str = "spec";
+    const MISSING: &'static str = "campaign needs --config <spec.json> or --default \
+                                   (or --print-spec / --resume / --merge)";
+    fn parse(text: &str) -> Result<Self, JsonError> {
+        CampaignSpec::from_json(text)
+    }
+    fn set_seed(&mut self, seed: u64) {
+        self.seed = seed;
+    }
+}
+
+impl Spec for FleetSpec {
+    const FLAG: &'static str = "--spec";
+    const WHAT: &'static str = "fleet spec";
+    const MISSING: &'static str =
+        "fleet needs --spec <fleet.json> or --default (or --print-spec / --merge)";
+    fn parse(text: &str) -> Result<Self, JsonError> {
+        FleetSpec::from_json(text)
+    }
+    fn set_seed(&mut self, seed: u64) {
+        self.seed = seed;
+    }
+}
+
+fn read(path: impl AsRef<Path>) -> Result<String, String> {
+    let path = path.as_ref();
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+}
+
+/// `path` itself, or every `*.json` file in it (sorted by name) when it is
+/// a directory; `what` names those files when there are none.
+fn json_inputs(path: &str, what: &str) -> Result<Vec<PathBuf>, String> {
+    let cannot_read = |e: std::io::Error| format!("cannot read {path}: {e}");
+    if !std::fs::metadata(path).map_err(cannot_read)?.is_dir() {
+        return Ok(vec![path.into()]);
+    }
+    let mut files: Vec<PathBuf> = std::fs::read_dir(path)
+        .map_err(cannot_read)?
+        .flatten()
+        .map(|entry| entry.path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    files.sort();
+    if files.is_empty() {
+        return Err(format!("{path}: no {what} (*.json) found"));
+    }
+    Ok(files)
 }
 
 fn print_table(t: &Table, format: Format) {
@@ -236,11 +518,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("lazyeye: {msg}");
-    ExitCode::FAILURE
-}
-
 fn fmt_share(v: Option<f64>) -> String {
     v.map(|x| format!("{x:.1} %")).unwrap_or_else(|| "-".into())
 }
@@ -253,6 +530,15 @@ fn emit_trace_set(flags: &Flags, traces: &TraceSet) -> Result<(), String> {
         eprintln!("[trace] wrote {} trace(s) to {path}", traces.traces.len());
     }
     Ok(())
+}
+
+/// The `--client` profile; a missing `--client` prints the usage text.
+fn client(flags: &Flags) -> Result<ClientProfile, Stop> {
+    let id = flags.get("--client").ok_or(Stop::Usage)?;
+    all_measured_clients()
+        .into_iter()
+        .find(|c| c.id() == id)
+        .ok_or_else(|| format!("unknown client {id:?} (try `lazyeye clients`)").into())
 }
 
 /// Text rendering of inferred profiles + verdicts (the `infer` command).
@@ -344,275 +630,249 @@ fn extract_profiles(v: &Json) -> Result<Vec<InferredProfile>, String> {
     }
 }
 
-/// `infer --diff old.json new.json`: field-level behaviour deltas
-/// between two sets of inferred profiles, matched by subject.
-fn cmd_infer_diff(paths: &[String], format: Format) -> ExitCode {
-    let mut sets = Vec::new();
-    for path in paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => return fail(&format!("cannot read {path}: {e}")),
-        };
-        let v = match Json::parse(&text) {
-            Ok(v) => v,
-            Err(e) => return fail(&format!("{path}: {e}")),
-        };
-        match extract_profiles(&v) {
-            Ok(profiles) => sets.push(profiles),
-            Err(e) => return fail(&format!("{path}: {e}")),
-        }
-    }
-    let (old, new) = (&sets[0], &sets[1]);
-    let mut added: Vec<String> = Vec::new();
+/// Loads one inferred-profile set for `infer --diff`.
+fn load_profiles(path: &str) -> Result<Vec<InferredProfile>, String> {
+    let v = Json::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
+    extract_profiles(&v).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Field-level behaviour deltas between two sets of inferred profiles,
+/// matched by subject.
+fn diff_profile_sets(old: &[InferredProfile], new: &[InferredProfile], format: Format) -> String {
+    let added: Vec<String> = new
+        .iter()
+        .filter(|p| !old.iter().any(|o| o.subject == p.subject))
+        .map(|p| p.subject.clone())
+        .collect();
     let mut removed: Vec<String> = Vec::new();
     let mut changed = Vec::new();
-    for p in new {
-        if !old.iter().any(|o| o.subject == p.subject) {
-            added.push(p.subject.clone());
-        }
-    }
     for o in old {
         match new.iter().find(|p| p.subject == o.subject) {
             None => removed.push(o.subject.clone()),
-            Some(p) => {
-                for delta in diff_profiles(o, p) {
-                    changed.push(lazy_eye_inspection::infer::FieldDelta {
-                        field: format!("{}.{}", o.subject, delta.field),
-                        ..delta
-                    });
-                }
-            }
+            Some(p) => changed.extend(diff_profiles(o, p).into_iter().map(|delta| FieldDelta {
+                field: format!("{}.{}", o.subject, delta.field),
+                ..delta
+            })),
         }
     }
+    if format == Format::Json {
+        let doc = Json::obj(vec![
+            ("added", ToJson::to_json(&added)),
+            ("removed", ToJson::to_json(&removed)),
+            ("changed", ToJson::to_json(&changed)),
+        ]);
+        return format!("{}\n", doc.to_string_pretty());
+    }
+    let lines: Vec<String> = removed
+        .iter()
+        .map(|s| format!("- profile {s}\n"))
+        .chain(added.iter().map(|s| format!("+ profile {s}\n")))
+        .chain(changed.iter().map(|d| format!("~ {d}\n")))
+        .collect();
+    if lines.is_empty() {
+        "no behaviour changes\n".to_string()
+    } else {
+        lines.concat()
+    }
+}
+
+/// `<command> --diff old.json new.json [--format text|json]`: `load` reads
+/// one file and `diff` renders the pair.
+fn cmd_diff<T>(
+    args: &[String],
+    what: &str,
+    load: impl Fn(&str) -> Result<T, String>,
+    diff: impl Fn(&T, &T, Format) -> Result<String, String>,
+) -> Outcome {
+    let [old, new, rest @ ..] = args else {
+        return Err(format!("--diff needs two {what} files: --diff old.json new.json").into());
+    };
+    let format = parse_flags(rest, &["--format"])?.format(TEXT_JSON)?;
+    let (old, new) = (load(old)?, load(new)?);
+    print!("{}", diff(&old, &new, format)?);
+    Ok(())
+}
+
+/// `args` after `--diff`, when it is the command's first argument.
+fn diff_args(args: &[String]) -> Option<&[String]> {
+    match args.split_first() {
+        Some((first, rest)) if first == "--diff" => Some(rest),
+        _ => None,
+    }
+}
+
+fn cmd_infer(args: &[String]) -> Outcome {
+    // `--diff old.json new.json` is its own sub-mode with positional
+    // profile-set paths, like `campaign --diff`.
+    if let Some(args) = diff_args(args) {
+        return cmd_diff(args, "profile", load_profiles, |old, new, format| {
+            Ok(diff_profile_sets(old, new, format))
+        });
+    }
+    let flags = parse_flags(args, &[RUN_FLAGS, &["--trace", "--campaign"]].concat())?;
+    let opts = RunOptions::parse(&flags, TEXT_JSON, "infer")?;
+    with_obs(&opts.obs, opts.jobs, "runs", || {
+        match (flags.get("--trace"), &opts.spec) {
+            (Some(_), Some(_)) => Err("--trace and --campaign are mutually exclusive".into()),
+            (Some(path), None) => infer_trace_file(path, opts.format),
+            (None, Some(_)) => {
+                let spec: CampaignSpec = opts.load_spec()?;
+                let (runs, outputs) = run_campaign_resumable(
+                    &spec,
+                    opts.jobs,
+                    &std::collections::BTreeMap::new(),
+                    progress_total,
+                    |_, _| {},
+                )
+                .map_err(|e| format!("campaign failed: {e}"))?;
+                let report = build_report_with(&spec, &runs, &outputs, true);
+                let section = report.inference.expect("classify builds the section");
+                match opts.format {
+                    Format::Json => print!("{}", section.to_json()),
+                    _ => print!("{}", section.render_text()),
+                }
+                Ok(())
+            }
+            (None, None) => {
+                Err("infer needs --trace <traces.json> or --campaign <spec.json>".into())
+            }
+        }
+    })
+}
+
+/// `infer --trace`: inferred client and resolver profiles with their
+/// verdicts, from one trace-set file.
+fn infer_trace_file(path: &str, format: Format) -> Outcome {
+    let set = TraceSet::from_json_str(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
+    let resolvers = infer_resolver_traces(&set);
+    let resolver_subjects: std::collections::BTreeSet<&str> = resolvers
+        .iter()
+        .map(|r| r.profile.subject.as_str())
+        .collect();
+    let reports: Vec<InferredClientReport> = infer_traces(&set)
+        .into_iter()
+        .filter(|profile| !resolver_subjects.contains(profile.subject.as_str()))
+        .map(|profile| {
+            let conformance = score_profile(&profile);
+            InferredClientReport {
+                profile,
+                conformance,
+            }
+        })
+        .collect();
     match format {
         Format::Json => {
             let doc = Json::obj(vec![
-                ("added", ToJson::to_json(&added)),
-                ("removed", ToJson::to_json(&removed)),
-                ("changed", ToJson::to_json(&changed)),
+                ("clients", ToJson::to_json(&reports)),
+                ("resolvers", ToJson::to_json(&resolvers)),
             ]);
             println!("{}", doc.to_string_pretty());
         }
         _ => {
-            if added.is_empty() && removed.is_empty() && changed.is_empty() {
-                println!("no behaviour changes");
-            } else {
-                for s in &removed {
-                    println!("- profile {s}");
-                }
-                for s in &added {
-                    println!("+ profile {s}");
-                }
-                for d in &changed {
-                    println!("~ {d}");
-                }
-            }
+            print!("{}", render_inferred(&reports));
+            print!("{}", render_inferred_resolvers(&resolvers));
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// Parses `--jobs` (default: available parallelism), rejecting 0.
-fn parse_jobs(flags: &Flags) -> Result<usize, String> {
-    let default_jobs = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    match parse_num(flags, "--jobs", default_jobs) {
-        Ok(0) => Err("flag --jobs: must be at least 1".to_string()),
-        other => other,
-    }
-}
-
-/// Loads a campaign spec from `path` and applies a `--seed` override.
-fn load_spec(flags: &Flags, path: &str) -> Result<CampaignSpec, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut spec = CampaignSpec::from_json(&text).map_err(|e| format!("bad spec: {e}"))?;
-    if let Some(seed) = flags.get("--seed") {
-        spec.seed = seed
-            .parse()
-            .map_err(|_| format!("flag --seed: invalid value {seed:?}"))?;
-    }
-    Ok(spec)
-}
-
-fn cmd_infer(flags: Flags) -> ExitCode {
-    let jobs = match parse_jobs(&flags) {
-        Ok(j) => j,
-        Err(e) => return fail(&e),
-    };
-    let obs = match Obs::start(&flags, jobs, "runs") {
-        Ok(o) => o,
-        Err(e) => return fail(&e),
-    };
-    let code = cmd_infer_dispatch(&flags, jobs);
-    match obs.finish() {
-        Ok(()) => code,
-        Err(e) => fail(&e),
-    }
-}
-
-fn cmd_infer_dispatch(flags: &Flags, jobs: usize) -> ExitCode {
-    let format = match flags.get("--format") {
-        None | Some("text") => Format::Text,
-        Some("json") => Format::Json,
-        Some(other) => return fail(&format!("flag --format: expected text|json, got {other:?}")),
-    };
-    match (flags.get("--trace"), flags.get("--campaign")) {
-        (Some(_), Some(_)) => fail("--trace and --campaign are mutually exclusive"),
-        (Some(path), None) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => return fail(&format!("cannot read {path}: {e}")),
-            };
-            let set = match TraceSet::from_json_str(&text) {
-                Ok(s) => s,
-                Err(e) => return fail(&format!("{path}: {e}")),
-            };
-            let resolvers = infer_resolver_traces(&set);
-            let resolver_subjects: std::collections::BTreeSet<&str> = resolvers
-                .iter()
-                .map(|r| r.profile.subject.as_str())
-                .collect();
-            let reports: Vec<InferredClientReport> = infer_traces(&set)
-                .into_iter()
-                .filter(|profile| !resolver_subjects.contains(profile.subject.as_str()))
-                .map(|profile| {
-                    let conformance = score_profile(&profile);
-                    InferredClientReport {
-                        profile,
-                        conformance,
-                    }
-                })
-                .collect();
-            match format {
-                Format::Json => {
-                    let doc = Json::obj(vec![
-                        ("clients", ToJson::to_json(&reports)),
-                        ("resolvers", ToJson::to_json(&resolvers)),
-                    ]);
-                    println!("{}", doc.to_string_pretty());
-                }
-                _ => {
-                    print!("{}", render_inferred(&reports));
-                    print!("{}", render_inferred_resolvers(&resolvers));
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        (None, Some(path)) => {
-            let spec = match load_spec(flags, path) {
-                Ok(s) => s,
-                Err(e) => return fail(&e),
-            };
-            let outcome = run_campaign_resumable(
-                &spec,
-                jobs,
-                &std::collections::BTreeMap::new(),
-                progress_total,
-                |_, _| {},
-            );
-            let (runs, outputs) = match outcome {
-                Ok(pair) => pair,
-                Err(e) => return fail(&format!("campaign failed: {e}")),
-            };
-            let report = build_report_with(&spec, &runs, &outputs, true);
-            let section = report.inference.expect("classify builds the section");
-            match format {
-                Format::Json => print!("{}", section.to_json()),
-                _ => print!("{}", section.render_text()),
-            }
-            ExitCode::SUCCESS
-        }
-        (None, None) => fail("infer needs --trace <traces.json> or --campaign <spec.json>"),
-    }
-}
-
-/// CLI-side observability session: arms the span recorder and the live
-/// progress reporter per the `--timeline`/`--metrics-out`/`--progress`
-/// flags, and writes the exporter files when the run finishes. Everything
-/// here goes to side files or stderr — never into report bytes.
-struct Obs {
+/// The observability surfaces a command arms. Everything they produce
+/// goes to side files or stderr — never into report bytes.
+struct ObsOptions {
     timeline: Option<String>,
     metrics_out: Option<String>,
-    flight_record: bool,
-    /// The `--progress` reporter thread and its stop channel.
-    reporter: Option<(std::sync::mpsc::Sender<()>, std::thread::JoinHandle<()>)>,
+    flight_record: Option<String>,
+    progress: bool,
+}
+
+impl ObsOptions {
+    fn parse(flags: &Flags) -> ObsOptions {
+        ObsOptions {
+            timeline: flags.value("--timeline"),
+            metrics_out: flags.value("--metrics-out"),
+            flight_record: flags.value("--flight-record"),
+            progress: flags.contains("--progress"),
+        }
+    }
 }
 
 /// Virtual-time tracks exported per timeline: the first N runs each get
 /// their own Perfetto track of poll/timer/spawn instants.
 const TIMELINE_SAMPLED_RUNS: u32 = 16;
 
-impl Obs {
-    fn start(flags: &Flags, jobs: usize, unit: &'static str) -> Result<Obs, String> {
-        let timeline = flags.get("--timeline").map(String::from);
-        let metrics_out = flags.get("--metrics-out").map(String::from);
-        if timeline.is_some() {
-            lazy_eye_inspection::obs::trace::enable(TIMELINE_SAMPLED_RUNS);
-        }
-        let flight_record = match flags.get("--flight-record") {
-            Some(dir) => {
-                lazy_eye_inspection::obs::trigger::arm(std::path::Path::new(dir))
-                    .map_err(|e| format!("cannot arm flight recorder at {dir}: {e}"))?;
-                true
-            }
-            None => false,
-        };
-        let reporter = flags.contains("--progress").then(|| {
-            lazy_eye_inspection::obs::progress::begin(0, jobs as u64);
-            // A status line every 500 ms; `finish` sends stop, which
-            // wakes the wait at once instead of at the next tick.
-            let (stop, stopped) = std::sync::mpsc::channel::<()>();
-            let handle = std::thread::spawn(move || {
-                while let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
-                    stopped.recv_timeout(std::time::Duration::from_millis(500))
-                {
-                    if let Some(snap) = lazy_eye_inspection::obs::progress::snapshot() {
-                        eprintln!("[progress] {}", snap.status_line(unit));
-                    }
-                }
-            });
-            (stop, handle)
-        });
-        Ok(Obs {
-            timeline,
-            metrics_out,
-            flight_record,
-            reporter,
-        })
-    }
+/// The `--progress` reporter thread and its stop channel.
+type Reporter = (std::sync::mpsc::Sender<()>, std::thread::JoinHandle<()>);
 
-    /// Stops the reporter, disarms the flight recorder and writes the
-    /// timeline / metrics files.
-    fn finish(self) -> Result<(), String> {
-        if self.flight_record {
-            let n = lazy_eye_inspection::obs::trigger::bundles_written();
-            lazy_eye_inspection::obs::trigger::disarm();
-            eprintln!("[obs] flight recorder wrote {n} bundle(s)");
-        }
-        if let Some((stop, handle)) = self.reporter {
-            // A failed send means the reporter has already returned.
-            let _ = stop.send(());
-            handle
-                .join()
-                .map_err(|_| "the progress reporter thread panicked".to_string())?;
-            lazy_eye_inspection::obs::progress::end();
-        }
-        if let Some(path) = &self.timeline {
-            let events = lazy_eye_inspection::obs::trace::take_events();
-            lazy_eye_inspection::obs::trace::disable();
-            let n = events.len();
-            let doc = lazy_eye_inspection::obs::timeline::render_chrome_trace(events);
-            std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("[obs] wrote timeline {path} ({n} events)");
-        }
-        if let Some(path) = &self.metrics_out {
-            let doc = lazy_eye_inspection::obs::registry::render_prometheus(None);
-            std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("[obs] wrote metrics {path}");
-        }
-        Ok(())
+/// Runs `body` with the surfaces `obs` names armed — the span recorder,
+/// the flight recorder and the live progress reporter (`unit` names what
+/// it counts over `jobs` workers) — then writes the exporter files, also
+/// when `body` failed.
+fn with_obs(
+    obs: &ObsOptions,
+    jobs: usize,
+    unit: &'static str,
+    body: impl FnOnce() -> Outcome,
+) -> Outcome {
+    use lazy_eye_inspection::obs::{progress, trace, trigger};
+    if obs.timeline.is_some() {
+        trace::enable(TIMELINE_SAMPLED_RUNS);
     }
+    if let Some(dir) = &obs.flight_record {
+        trigger::arm(Path::new(dir))
+            .map_err(|e| format!("cannot arm flight recorder at {dir}: {e}"))?;
+    }
+    let reporter = obs.progress.then(|| {
+        progress::begin(0, jobs as u64);
+        // A status line every 500 ms; `finish_obs` sends stop, which wakes
+        // the wait at once instead of at the next tick.
+        let (stop, stopped) = std::sync::mpsc::channel::<()>();
+        let handle = std::thread::spawn(move || {
+            while let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+                stopped.recv_timeout(std::time::Duration::from_millis(500))
+            {
+                if let Some(snap) = progress::snapshot() {
+                    eprintln!("[progress] {}", snap.status_line(unit));
+                }
+            }
+        });
+        (stop, handle)
+    });
+    let result = body();
+    let finished = finish_obs(obs, reporter);
+    result.and(finished.map_err(Stop::Fail))
+}
+
+/// Stops the reporter, disarms the flight recorder and writes the
+/// timeline / metrics files.
+fn finish_obs(obs: &ObsOptions, reporter: Option<Reporter>) -> Result<(), String> {
+    use lazy_eye_inspection::obs::{progress, registry, timeline, trace, trigger};
+    if obs.flight_record.is_some() {
+        let n = trigger::bundles_written();
+        trigger::disarm();
+        eprintln!("[obs] flight recorder wrote {n} bundle(s)");
+    }
+    if let Some((stop, handle)) = reporter {
+        // A failed send means the reporter has already returned.
+        let _ = stop.send(());
+        handle
+            .join()
+            .map_err(|_| "the progress reporter thread panicked".to_string())?;
+        progress::end();
+    }
+    if let Some(path) = &obs.timeline {
+        let events = trace::take_events();
+        trace::disable();
+        let n = events.len();
+        let doc = timeline::render_chrome_trace(events);
+        std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("[obs] wrote timeline {path} ({n} events)");
+    }
+    if let Some(path) = &obs.metrics_out {
+        let doc = registry::render_prometheus(None);
+        std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("[obs] wrote metrics {path}");
+    }
+    Ok(())
 }
 
 /// Keeps the `--progress` reporter's denominator current as the
@@ -785,19 +1045,11 @@ fn emit_partial<S: Study>(part: &Partial<S>, unit: &str, out: Option<&str>) -> R
     Ok(())
 }
 
-/// Loads the `--merge` partials and unions them, refusing the
-/// `conflicting` flags and warning when the union misses planned items
-/// (`unit` names them), which the caller then executes locally.
-fn load_merged<S: Study>(
-    flags: &Flags,
-    conflicting: &[&str],
-    unit: &str,
-) -> Result<Partial<S>, String> {
-    if let Some(flag) = conflicting.iter().find(|flag| flags.contains(flag)) {
-        return Err(format!("--merge cannot be combined with {flag}"));
-    }
-    let parts = flags
-        .get_all("--merge")
+/// Loads the `--merge` partials and unions them, warning when the union
+/// misses planned items (`unit` names them), which the caller then
+/// executes locally.
+fn load_merged<S: Study>(paths: &[String], unit: &str) -> Result<Partial<S>, String> {
+    let parts = paths
         .iter()
         .map(|path| Partial::load(path))
         .collect::<Result<Vec<_>, _>>()?;
@@ -812,122 +1064,100 @@ fn load_merged<S: Study>(
     Ok(merged)
 }
 
-fn cmd_campaign_merge(flags: &Flags, jobs: usize, format: Format, classify: bool) -> ExitCode {
-    let conflicting = [
+fn cmd_campaign(args: &[String]) -> Outcome {
+    // `--diff old.json new.json` is its own sub-mode with positional
+    // report paths.
+    if let Some(args) = diff_args(args) {
+        let load = |path: &str| {
+            CampaignReport::from_json_str(&read(path)?).map_err(|e| format!("{path}: {e}"))
+        };
+        return cmd_diff(args, "report", load, |old, new, format| {
+            let diff = diff_reports(old, new);
+            Ok(match format {
+                Format::Json => diff.to_json(),
+                _ => diff.render_text(),
+            })
+        });
+    }
+    let campaign_flags = [
         "--config",
-        "--default",
-        "--seed",
-        "--shard",
-        "--resume",
         "--checkpoint",
+        "--resume",
+        "--classify",
+        "--fast-path",
     ];
-    let merged = match load_merged::<Campaign>(flags, &conflicting, "first-pass runs") {
-        Ok(m) => m,
-        Err(e) => return fail(&e),
-    };
-    let report =
-        match finish_from_checkpoint_with(&merged, jobs, classify, progress_total, |_, _| {}) {
-            Ok(r) => r,
-            Err(e) => return fail(&format!("campaign failed: {e}")),
-        };
-    match emit_report(&report, format, flags.get("--out")) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
+    let flags = parse_flags(args, &[RUN_FLAGS, STUDY_FLAGS, &campaign_flags].concat())?;
+    if flags.contains("--print-spec") {
+        println!("{}", CampaignSpec::default().to_json());
+        return Ok(());
     }
-}
-
-/// `campaign --diff old.json new.json`: load two reports, surface
-/// per-cell and per-feature behaviour changes.
-fn cmd_campaign_diff(paths: &[String], format: Format) -> ExitCode {
-    let mut reports = Vec::new();
-    for path in paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => return fail(&format!("cannot read {path}: {e}")),
-        };
-        match CampaignReport::from_json_str(&text) {
-            Ok(r) => reports.push(r),
-            Err(e) => return fail(&format!("{path}: {e}")),
+    let opts = RunOptions::parse(&flags, ALL_FORMATS, Campaign::NAME)?;
+    with_obs(&opts.obs, opts.jobs, "runs", || {
+        if !opts.merge.is_empty() {
+            let merged = load_merged::<Campaign>(&opts.merge, "first-pass runs")?;
+            let report = finish_from_checkpoint_with(
+                &merged,
+                opts.jobs,
+                opts.classify,
+                progress_total,
+                |_, _| {},
+            )
+            .map_err(|e| format!("campaign failed: {e}"))?;
+            return Ok(emit_report(&report, opts.format, opts.out.as_deref())?);
         }
-    }
-    let diff = diff_reports(&reports[0], &reports[1]);
-    match format {
-        Format::Json => print!("{}", diff.to_json()),
-        _ => print!("{}", diff.render_text()),
-    }
-    ExitCode::SUCCESS
-}
-
-/// Refuses the flags a shard run has no use for: a partial is always
-/// JSON, and report options apply where the partials are merged.
-fn refuse_report_flags(flags: &Flags) -> Result<(), String> {
-    for (flag, instead) in [
-        ("--format", "partials are always JSON"),
-        ("--classify", "classify at --merge"),
-        ("--fast-path", "it only affects whole local runs"),
-        ("--flamegraph", "profile the merge"),
-    ] {
-        if flags.contains(flag) {
-            return Err(format!("{flag} does not apply to shard runs; {instead}"));
+        let (spec, resume_from) = match &opts.resume {
+            Some(path) => {
+                let ckpt = Checkpoint::load(path)?;
+                (ckpt.spec.clone(), Some(ckpt))
+            }
+            None => (opts.load_spec()?, None),
+        };
+        let shard = match (resume_from.as_ref().map(|c| c.shard), opts.shard) {
+            (Some(Some(saved)), Some(asked)) if saved != asked => {
+                return Err(format!(
+                    "--shard {}/{} disagrees with the checkpoint's {}/{}",
+                    asked.index, asked.count, saved.index, saved.count
+                )
+                .into())
+            }
+            (Some(None), Some(_)) => {
+                return Err("--shard cannot be added to a whole-campaign checkpoint".into())
+            }
+            (Some(saved), _) => saved,
+            (None, asked) => asked,
+        };
+        match shard {
+            Some(shard) => {
+                refuse(&flags, Mode::Shard, Campaign::NAME)?;
+                let ckpt_path = opts.checkpoint_path();
+                let part = run_shard(
+                    &spec,
+                    opts.jobs,
+                    shard,
+                    resume_from,
+                    progress_total,
+                    periodic_save(ckpt_path.clone()),
+                )
+                .map_err(|e| format!("campaign failed: {e}"))?;
+                save_checkpoint(&part, ckpt_path.as_deref());
+                Ok(emit_partial(&part, "first-pass runs", opts.out.as_deref())?)
+            }
+            None => campaign_full(&opts, spec, resume_from),
         }
-    }
-    Ok(())
-}
-
-/// Executes one shard's slice (fresh or resumed) with periodic checkpoint
-/// saves, then emits the partial.
-fn cmd_campaign_shard(
-    flags: &Flags,
-    spec: CampaignSpec,
-    jobs: usize,
-    shard: Shard,
-    resume_from: Option<Checkpoint>,
-    ckpt_path: Option<String>,
-) -> ExitCode {
-    if let Err(e) = refuse_report_flags(flags) {
-        return fail(&e);
-    }
-    let result = run_shard(
-        &spec,
-        jobs,
-        shard,
-        resume_from,
-        progress_total,
-        periodic_save(ckpt_path.clone()),
-    );
-    let part = match result {
-        Ok(p) => p,
-        Err(e) => return fail(&format!("campaign failed: {e}")),
-    };
-    save_checkpoint(&part, ckpt_path.as_deref());
-    match emit_partial(&part, "first-pass runs", flags.get("--out")) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
+    })
 }
 
 /// Runs (or resumes) a full two-pass campaign with optional periodic
 /// checkpointing, then reports.
-#[allow(clippy::too_many_arguments)]
-fn cmd_campaign_full(
+fn campaign_full(
+    opts: &RunOptions,
     spec: CampaignSpec,
-    jobs: usize,
-    format: Format,
-    classify: bool,
-    fast_path: bool,
     resume_from: Option<Checkpoint>,
-    ckpt_path: Option<String>,
-    out: Option<&str>,
-    flamegraph: Option<&str>,
-) -> ExitCode {
-    let pass1_runs = match expand(&spec) {
-        Ok(runs) => runs.len() as u64,
-        Err(e) => return fail(&format!("bad spec: {e}")),
-    };
+) -> Outcome {
+    let pass1_runs = expand(&spec).map_err(|e| format!("bad spec: {e}"))?.len() as u64;
     if let Some(ckpt) = &resume_from {
-        if let Err(e) = ckpt.validate_shape(pass1_runs) {
-            return fail(&format!("resume: {e}"));
-        }
+        ckpt.validate_shape(pass1_runs)
+            .map_err(|e| format!("resume: {e}"))?;
     }
     let mut ckpt = resume_from.unwrap_or_else(|| Checkpoint::new(spec.clone(), pass1_runs, None));
     let completed = ckpt.completed().clone();
@@ -937,11 +1167,12 @@ fn cmd_campaign_full(
             completed.len()
         );
     }
+    let ckpt_path = opts.checkpoint_path();
     let mut save = periodic_save(ckpt_path.clone());
     let outcome = run_campaign_resumable_with(
         &spec,
-        jobs,
-        fast_path,
+        opts.jobs,
+        opts.fast_path,
         &completed,
         progress_total,
         |run, out| {
@@ -950,46 +1181,19 @@ fn cmd_campaign_full(
         },
     );
     drop(save);
-    let (runs, outputs) = match outcome {
-        Ok(pair) => pair,
-        Err(e) => return fail(&format!("campaign failed: {e}")),
-    };
+    let (runs, outputs) = outcome.map_err(|e| format!("campaign failed: {e}"))?;
     save_checkpoint(&ckpt, ckpt_path.as_deref());
-    let report = build_report_with(&spec, &runs, &outputs, classify);
-    if let Err(e) = emit_report(&report, format, out) {
-        return fail(&e);
-    }
-    if let Some(path) = flamegraph {
+    let report = build_report_with(&spec, &runs, &outputs, opts.classify);
+    emit_report(&report, opts.format, opts.out.as_deref())?;
+    if let Some(path) = &opts.flamegraph {
         // Attribute the executed run list (first pass + refinement) into
         // the per-cell latency budget and the flame graph. Both are pure
         // functions of (spec, run list): byte-identical across --jobs.
         let (budget, flame) = profile_runs(&spec, &runs);
-        if let Err(e) = write_flamegraph(path, &flame) {
-            return fail(&e);
-        }
-        print_budget(&budget.render_text(), format);
+        write_flamegraph(path, &flame)?;
+        print_budget(&budget.render_text(), opts.format);
     }
-    ExitCode::SUCCESS
-}
-
-fn cmd_campaign(flags: Flags) -> ExitCode {
-    if flags.contains("--print-spec") {
-        println!("{}", CampaignSpec::default().to_json());
-        return ExitCode::SUCCESS;
-    }
-    let jobs = match parse_jobs(&flags) {
-        Ok(j) => j,
-        Err(e) => return fail(&e),
-    };
-    let obs = match Obs::start(&flags, jobs, "runs") {
-        Ok(o) => o,
-        Err(e) => return fail(&e),
-    };
-    let code = cmd_campaign_dispatch(&flags, jobs);
-    match obs.finish() {
-        Ok(()) => code,
-        Err(e) => fail(&e),
-    }
+    Ok(())
 }
 
 /// `lazyeye replay <bundle.json|dir>`: re-executes the run(s) a flight
@@ -997,64 +1201,41 @@ fn cmd_campaign(flags: Flags) -> ExitCode {
 /// regenerated trace against the recording. A directory replays every
 /// `*.json` bundle in it (sorted by name). Exits non-zero if any replay
 /// diverges — the CI determinism gate.
-fn cmd_replay(path: &str, format: Format) -> ExitCode {
-    let meta = match std::fs::metadata(path) {
-        Ok(m) => m,
-        Err(e) => return fail(&format!("cannot read {path}: {e}")),
+fn cmd_replay(args: &[String]) -> Outcome {
+    let Some((path, rest)) = args.split_first() else {
+        return Err("replay needs a bundle file or directory: replay <bundle.json|dir>".into());
     };
-    let mut files: Vec<std::path::PathBuf> = Vec::new();
-    if meta.is_dir() {
-        let entries = match std::fs::read_dir(path) {
-            Ok(it) => it,
-            Err(e) => return fail(&format!("cannot read {path}: {e}")),
-        };
-        for entry in entries.flatten() {
-            let p = entry.path();
-            if p.extension().is_some_and(|ext| ext == "json") {
-                files.push(p);
+    let flags = parse_flags(rest, &["--format", "--timeline", "--metrics-out"])?;
+    let format = flags.format(TEXT_JSON)?;
+    with_obs(&ObsOptions::parse(&flags), 1, "bundles", || {
+        let mut reports = Vec::new();
+        for file in json_inputs(path, "bundles")? {
+            let bundle = Bundle::from_json_str(&read(&file)?)
+                .map_err(|e| format!("{}: {e}", file.display()))?;
+            let report = lazy_eye_inspection::campaign::replay(&bundle)
+                .map_err(|e| format!("{}: {e}", file.display()))?;
+            reports.push(report);
+        }
+        let divergent = reports.iter().filter(|r| !r.identical).count();
+        match format {
+            Format::Json => println!("{}", ToJson::to_json(&reports).to_string_pretty()),
+            _ => {
+                for r in &reports {
+                    print!("{}", r.render_text());
+                }
+                eprintln!(
+                    "[replay] {} bundle(s), {} divergent",
+                    reports.len(),
+                    divergent
+                );
             }
         }
-        files.sort();
-        if files.is_empty() {
-            return fail(&format!("{path}: no bundles (*.json) found"));
+        if divergent == 0 {
+            Ok(())
+        } else {
+            Err(Stop::Quiet)
         }
-    } else {
-        files.push(path.into());
-    }
-    let mut reports = Vec::new();
-    for file in &files {
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => return fail(&format!("cannot read {}: {e}", file.display())),
-        };
-        let bundle = match lazy_eye_inspection::obs::bundle::Bundle::from_json_str(&text) {
-            Ok(b) => b,
-            Err(e) => return fail(&format!("{}: {e}", file.display())),
-        };
-        match lazy_eye_inspection::campaign::replay(&bundle) {
-            Ok(r) => reports.push(r),
-            Err(e) => return fail(&format!("{}: {e}", file.display())),
-        }
-    }
-    let divergent = reports.iter().filter(|r| !r.identical).count();
-    match format {
-        Format::Json => println!("{}", ToJson::to_json(&reports).to_string_pretty()),
-        _ => {
-            for r in &reports {
-                print!("{}", r.render_text());
-            }
-            eprintln!(
-                "[replay] {} bundle(s), {} divergent",
-                reports.len(),
-                divergent
-            );
-        }
-    }
-    if divergent == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    })
 }
 
 /// `lazyeye profile <traces.json|bundle.json|dir>`: causal latency
@@ -1064,41 +1245,22 @@ fn cmd_replay(path: &str, format: Format) -> ExitCode {
 /// critical path through the run's causal DAG. Accepts trace-set files
 /// (`--emit-trace` output), flight-recorder bundles, or a directory of
 /// either (`*.json`, sorted by name).
-fn cmd_profile(path: &str, flags: &Flags, format: Format) -> ExitCode {
-    let meta = match std::fs::metadata(path) {
-        Ok(m) => m,
-        Err(e) => return fail(&format!("cannot read {path}: {e}")),
+fn cmd_profile(args: &[String]) -> Outcome {
+    let Some((path, rest)) = args.split_first() else {
+        return Err("profile needs traces, a bundle or a directory: \
+                    profile <traces.json|bundle.json|dir>"
+            .into());
     };
-    let mut files: Vec<std::path::PathBuf> = Vec::new();
-    if meta.is_dir() {
-        let entries = match std::fs::read_dir(path) {
-            Ok(it) => it,
-            Err(e) => return fail(&format!("cannot read {path}: {e}")),
-        };
-        for entry in entries.flatten() {
-            let p = entry.path();
-            if p.extension().is_some_and(|ext| ext == "json") {
-                files.push(p);
-            }
-        }
-        files.sort();
-        if files.is_empty() {
-            return fail(&format!("{path}: no trace files (*.json) found"));
-        }
-    } else {
-        files.push(path.into());
-    }
+    let flags = parse_flags(rest, &["--format", "--flamegraph"])?;
+    let format = flags.format(TEXT_JSON)?;
     let mut traces: Vec<Trace> = Vec::new();
-    for file in &files {
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => return fail(&format!("cannot read {}: {e}", file.display())),
-        };
+    for file in json_inputs(path, "trace files")? {
+        let text = read(&file)?;
         match TraceSet::from_json_str(&text) {
             Ok(set) => traces.extend(set.traces),
             // Not a trace set — a flight-recorder bundle carries the
             // run's trace under its "trace" key.
-            Err(set_err) => match lazy_eye_inspection::obs::bundle::Bundle::from_json_str(&text) {
+            Err(set_err) => match Bundle::from_json_str(&text) {
                 Ok(bundle) => match Trace::from_json(&bundle.trace) {
                     Ok(t) => traces.push(t),
                     Err(e) => eprintln!(
@@ -1106,12 +1268,12 @@ fn cmd_profile(path: &str, flags: &Flags, format: Format) -> ExitCode {
                         file.display()
                     ),
                 },
-                Err(_) => return fail(&format!("{}: {set_err}", file.display())),
+                Err(_) => return Err(format!("{}: {set_err}", file.display()).into()),
             },
         }
     }
     if traces.is_empty() {
-        return fail(&format!("{path}: no attributable traces found"));
+        return Err(format!("{path}: no attributable traces found").into());
     }
     let mut budget = LatencyBudget::default();
     let mut flame = FlameGraph::new();
@@ -1200,785 +1362,302 @@ fn cmd_profile(path: &str, flags: &Flags, format: Format) -> ExitCode {
         }
     }
     if let Some(out) = flags.get("--flamegraph") {
-        if let Err(e) = write_flamegraph(out, &flame) {
-            return fail(&e);
-        }
+        write_flamegraph(out, &flame)?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_campaign_dispatch(flags: &Flags, jobs: usize) -> ExitCode {
-    let format = match parse_format(flags) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let classify = flags.contains("--classify");
-    let fast_path = flags.contains("--fast-path");
-    let flamegraph = flags.get("--flamegraph");
-
-    if flags.contains("--merge") {
-        if fast_path {
-            return fail("--fast-path does not apply to --merge; it only affects local runs");
-        }
-        if flamegraph.is_some() {
-            return fail("--flamegraph applies to local full campaign runs, not --merge");
-        }
-        return cmd_campaign_merge(flags, jobs, format, classify);
+fn cmd_fleet(args: &[String]) -> Outcome {
+    // `--diff old.json new.json` is its own sub-mode with positional
+    // report paths, like `campaign --diff`.
+    if let Some(args) = diff_args(args) {
+        return cmd_diff(
+            args,
+            "report",
+            |path| read(path),
+            |old, new, format| {
+                let diff = fleet::diff_report_strs(old, new)?;
+                Ok(match format {
+                    Format::Json => diff.to_json(),
+                    _ => diff.render_text(),
+                })
+            },
+        );
     }
-
-    let ckpt_path = flags.get("--checkpoint").map(String::from);
-    let out = flags.get("--out");
-
-    if let Some(resume_path) = flags.get("--resume") {
-        if flags.contains("--config") || flags.contains("--seed") || flags.contains("--default") {
-            return fail(
-                "--resume reads spec and seed from the checkpoint; drop --config/--default/--seed",
-            );
-        }
-        let ckpt = match Checkpoint::load(resume_path) {
-            Ok(c) => c,
-            Err(e) => return fail(&e),
-        };
-        // Keep checkpointing where we left off unless redirected.
-        let ckpt_path = ckpt_path.or_else(|| Some(resume_path.to_string()));
-        let spec = ckpt.spec.clone();
-        return match ckpt.shard {
-            Some(shard) => {
-                if let Some(flag) = flags.get("--shard") {
-                    match Shard::parse(flag) {
-                        Ok(s) if s == shard => {}
-                        Ok(s) => {
-                            return fail(&format!(
-                                "--shard {}/{} disagrees with the checkpoint's {}/{}",
-                                s.index, s.count, shard.index, shard.count
-                            ))
-                        }
-                        Err(e) => return fail(&e),
-                    }
-                }
-                cmd_campaign_shard(flags, spec, jobs, shard, Some(ckpt), ckpt_path)
-            }
-            None => {
-                if flags.contains("--shard") {
-                    return fail("--shard cannot be added to a whole-campaign checkpoint");
-                }
-                cmd_campaign_full(
-                    spec,
-                    jobs,
-                    format,
-                    classify,
-                    fast_path,
-                    Some(ckpt),
-                    ckpt_path,
-                    out,
-                    flamegraph,
-                )
-            }
-        };
-    }
-
-    let spec = if flags.contains("--default") {
-        if flags.contains("--config") {
-            return fail("--config and --default are mutually exclusive");
-        }
-        let mut spec = CampaignSpec::default();
-        if let Some(seed) = flags.get("--seed") {
-            match seed.parse() {
-                Ok(s) => spec.seed = s,
-                Err(_) => return fail(&format!("flag --seed: invalid value {seed:?}")),
-            }
-        }
-        spec
-    } else {
-        let Some(path) = flags.get("--config") else {
-            return fail(
-                "campaign needs --config <spec.json> or --default \
-                 (or --print-spec / --resume / --merge)",
-            );
-        };
-        match load_spec(flags, path) {
-            Ok(s) => s,
-            Err(e) => return fail(&e),
-        }
-    };
-
-    if let Some(shard_flag) = flags.get("--shard") {
-        let shard = match Shard::parse(shard_flag) {
-            Ok(s) => s,
-            Err(e) => return fail(&e),
-        };
-        return cmd_campaign_shard(flags, spec, jobs, shard, None, ckpt_path);
-    }
-    cmd_campaign_full(
-        spec, jobs, format, classify, fast_path, None, ckpt_path, out, flamegraph,
-    )
-}
-
-/// Loads a fleet spec from `--spec`/`--default` and applies `--seed`,
-/// `--sessions` and `--reps` overrides.
-fn load_fleet_spec(flags: &Flags) -> Result<FleetSpec, String> {
-    let mut spec = match (flags.get("--spec"), flags.contains("--default")) {
-        (Some(_), true) => return Err("--spec and --default are mutually exclusive".to_string()),
-        (Some(path), false) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            FleetSpec::from_json(&text).map_err(|e| format!("bad fleet spec: {e}"))?
-        }
-        (None, true) => FleetSpec::default(),
-        (None, false) => {
-            return Err(
-                "fleet needs --spec <fleet.json> or --default (or --print-spec / --merge)"
-                    .to_string(),
-            )
-        }
-    };
-    if let Some(seed) = flags.get("--seed") {
-        spec.seed = seed
-            .parse()
-            .map_err(|_| format!("flag --seed: invalid value {seed:?}"))?;
-    }
-    if flags.contains("--sessions") {
-        spec.cad_sessions = parse_num(flags, "--sessions", spec.cad_sessions)?;
-        if spec.cad_sessions == 0 {
-            return Err("flag --sessions: must be at least 1".to_string());
-        }
-    }
-    if flags.contains("--reps") {
-        spec.repetitions = parse_num(flags, "--reps", spec.repetitions)?;
-        if spec.repetitions == 0 {
-            return Err("flag --reps: must be at least 1".to_string());
-        }
-    }
-    Ok(spec)
-}
-
-/// `fleet --diff old.json new.json`: load two fleet reports, surface
-/// membership changes and per-member/resolver/summary behaviour deltas —
-/// the longitudinal population-tracking view.
-fn cmd_fleet_diff(paths: &[String], format: Format) -> ExitCode {
-    let mut texts = Vec::new();
-    for path in paths {
-        match std::fs::read_to_string(path) {
-            Ok(t) => texts.push(t),
-            Err(e) => return fail(&format!("cannot read {path}: {e}")),
-        }
-    }
-    let diff = match fleet::diff_report_strs(&texts[0], &texts[1]) {
-        Ok(d) => d,
-        Err(e) => return fail(&e),
-    };
-    match format {
-        Format::Json => print!("{}", diff.to_json()),
-        _ => print!("{}", diff.render_text()),
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_fleet(flags: Flags) -> ExitCode {
+    let fleet_flags = ["--spec", "--sessions", "--reps"];
+    let flags = parse_flags(args, &[RUN_FLAGS, STUDY_FLAGS, &fleet_flags].concat())?;
     if flags.contains("--print-spec") {
         println!("{}", FleetSpec::default().to_json());
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-    let jobs = match parse_jobs(&flags) {
-        Ok(j) => j,
-        Err(e) => return fail(&e),
-    };
-    let obs = match Obs::start(&flags, jobs, "sessions") {
-        Ok(o) => o,
-        Err(e) => return fail(&e),
-    };
-    let code = cmd_fleet_dispatch(&flags, jobs);
-    match obs.finish() {
-        Ok(()) => code,
-        Err(e) => fail(&e),
-    }
+    let opts = RunOptions::parse(&flags, ALL_FORMATS, Fleet::NAME)?;
+    let sessions = flags.count("--sessions")?;
+    let reps = flags.count("--reps")?;
+    let out = opts.out.as_deref();
+    with_obs(&opts.obs, opts.jobs, "sessions", || {
+        if !opts.merge.is_empty() {
+            let merged = load_merged::<Fleet>(&opts.merge, "sessions")?;
+            let report = fleet::finish_from_partial(&merged, opts.jobs, progress_total)
+                .map_err(|e| format!("fleet failed: {e}"))?;
+            return Ok(emit_report(&report, opts.format, out)?);
+        }
+        let mut spec: FleetSpec = opts.load_spec()?;
+        spec.cad_sessions = sessions.unwrap_or(spec.cad_sessions);
+        spec.repetitions = reps.unwrap_or(spec.repetitions);
+        if let Some(shard) = opts.shard {
+            // Save the partial periodically while the shard runs (atomic
+            // temp-file + rename), so a kill loses only the sessions
+            // finished since the last completed save — the same crash
+            // contract as campaign shards.
+            let part = run_fleet_shard(
+                &spec,
+                opts.jobs,
+                shard,
+                progress_total,
+                periodic_save(out.map(|base| format!("{base}.json"))),
+            )
+            .map_err(|e| format!("fleet failed: {e}"))?;
+            return Ok(emit_partial(&part, "sessions", out)?);
+        }
+        let report = run_fleet(&spec, opts.jobs, progress_total)
+            .map_err(|e| format!("fleet failed: {e}"))?;
+        emit_report(&report, opts.format, out)?;
+        if let Some(path) = &opts.flamegraph {
+            // Per-member probe attribution: a pure function of (spec,
+            // seed), byte-identical across --jobs like the report itself.
+            let (budget, flame) =
+                fleet::profile_fleet(&spec).map_err(|e| format!("fleet profiling failed: {e}"))?;
+            write_flamegraph(path, &flame)?;
+            print_budget(&budget.render_text(), opts.format);
+        }
+        Ok(())
+    })
 }
 
-fn cmd_fleet_dispatch(flags: &Flags, jobs: usize) -> ExitCode {
-    let format = match parse_format(flags) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let out = flags.get("--out");
-    let flamegraph = flags.get("--flamegraph");
+fn cmd_clients(args: &[String]) -> Outcome {
+    let format = parse_flags(args, &["--format"])?.format(ALL_FORMATS)?;
+    let mut t = Table::new("Client profiles", vec!["id", "engine", "CAD", "RD"]);
+    for c in all_measured_clients() {
+        t.row(vec![
+            c.id(),
+            format!("{:?}", c.engine),
+            c.fixed_cad()
+                .map(|d| format!("{} ms", d.as_millis()))
+                .unwrap_or_else(|| "dynamic".into()),
+            c.he.resolution_delay
+                .map(|d| format!("{} ms", d.as_millis()))
+                .unwrap_or_else(|| "-".into()),
+        ]);
+    }
+    print_table(&t, format);
+    Ok(())
+}
 
-    if flags.contains("--merge") {
-        if flamegraph.is_some() {
-            return fail("--flamegraph applies to local full fleet runs, not --merge");
-        }
-        let conflicting = [
-            "--spec",
-            "--default",
-            "--seed",
-            "--sessions",
+fn cmd_resolvers(args: &[String]) -> Outcome {
+    let format = parse_flags(args, &["--format"])?.format(ALL_FORMATS)?;
+    let mut t = Table::new(
+        "Resolver profiles",
+        vec!["name", "kind", "timeout", "v6 pref", "notes"],
+    );
+    for p in all_profiles() {
+        t.row(vec![
+            p.name.into(),
+            format!("{:?}", p.kind),
+            format!("{} ms", p.policy.server_timeout.as_millis()),
+            format!("{:?}", p.policy.v6_preference),
+            p.notes.into(),
+        ]);
+    }
+    print_table(&t, format);
+    Ok(())
+}
+
+fn cmd_cad(args: &[String]) -> Outcome {
+    let flags = parse_flags(
+        args,
+        &[
+            "--client",
+            "--from",
+            "--to",
+            "--step",
             "--reps",
-            "--shard",
-        ];
-        let merged = match load_merged::<Fleet>(flags, &conflicting, "sessions") {
-            Ok(m) => m,
-            Err(e) => return fail(&e),
-        };
-        let report = match fleet::finish_from_partial(&merged, jobs, progress_total) {
-            Ok(r) => r,
-            Err(e) => return fail(&format!("fleet failed: {e}")),
-        };
-        return match emit_report(&report, format, out) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        };
+            "--seed",
+            "--emit-trace",
+        ],
+    )?;
+    let profile = client(&flags)?;
+    let from = flags.num("--from")?.unwrap_or(0);
+    let to = flags.num("--to")?.unwrap_or(400);
+    let step = flags.num("--step")?.unwrap_or(25);
+    let reps = flags.count("--reps")?.unwrap_or(1);
+    let seed = flags.num("--seed")?.unwrap_or(1);
+    if step == 0 {
+        return Err("flag --step: must be > 0".into());
     }
-
-    let spec = match load_fleet_spec(flags) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
+    if to < from {
+        return Err(format!("flag --to: must be at least --from ({from})").into());
+    }
+    let cfg = CadCaseConfig {
+        sweep: SweepSpec::new(from, to, step),
+        repetitions: reps,
     };
+    let (samples, traces) = run_cad_case_traced(&profile, &cfg, seed);
+    emit_trace_set(&flags, &traces)?;
+    let strip: String = samples
+        .iter()
+        .map(|s| match s.family {
+            Some(Family::V6) => '6',
+            Some(Family::V4) => '4',
+            None => 'x',
+        })
+        .collect();
+    println!("{}  {}", profile.figure2_label(), strip);
+    let s = summarize_cad(&samples);
+    println!(
+        "last v6: {:?} ms, first v4: {:?} ms, measured CAD: {:?} ms",
+        s.last_v6_delay_ms, s.first_v4_delay_ms, s.measured_cad_ms
+    );
+    Ok(())
+}
 
-    if let Some(shard_flag) = flags.get("--shard") {
-        let shard = match fleet::Shard::parse(shard_flag) {
-            Ok(s) => s,
-            Err(e) => return fail(&e),
-        };
-        if let Err(e) = refuse_report_flags(flags) {
-            return fail(&e);
-        }
-        // Save the partial periodically while the shard runs (atomic
-        // temp-file + rename), so a kill loses only the sessions finished
-        // since the last completed save — the same crash contract as
-        // campaign shards.
-        let outcome = run_fleet_shard(
-            &spec,
-            jobs,
-            shard,
-            progress_total,
-            periodic_save(out.map(|base| format!("{base}.json"))),
+fn cmd_rd(args: &[String]) -> Outcome {
+    let flags = parse_flags(
+        args,
+        &["--client", "--record", "--delay", "--seed", "--emit-trace"],
+    )?;
+    let profile = client(&flags)?;
+    let record = match flags.get("--record") {
+        Some("a") => DelayedRecord::A,
+        Some("aaaa") | None => DelayedRecord::Aaaa,
+        Some(other) => return Err(format!("flag --record: expected aaaa|a, got {other:?}").into()),
+    };
+    let delay = flags.num("--delay")?.unwrap_or(400);
+    let seed = flags.num("--seed")?.unwrap_or(1);
+    let cfg = RdCaseConfig {
+        delayed: record,
+        sweep: SweepSpec::new(delay, delay, 1),
+        repetitions: 3,
+    };
+    let (samples, traces) = run_rd_case_traced(&profile, &cfg, seed);
+    emit_trace_set(&flags, &traces)?;
+    for s in &samples {
+        println!(
+            "delay {} ms rep {}: family {:?}, first SYN at {:?} ms, RD used: {}",
+            s.configured_delay_ms, s.rep, s.family, s.first_attempt_ms, s.used_rd
         );
-        let part = match outcome {
-            Ok(p) => p,
-            Err(e) => return fail(&format!("fleet failed: {e}")),
-        };
-        return match emit_partial(&part, "sessions", out) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        };
     }
+    println!("implements RD: {}", summarize_rd(&samples).implements_rd);
+    Ok(())
+}
 
-    let report = match run_fleet(&spec, jobs, progress_total) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("fleet failed: {e}")),
+fn cmd_selection(args: &[String]) -> Outcome {
+    let flags = parse_flags(args, &["--client", "--seed", "--emit-trace"])?;
+    let profile = client(&flags)?;
+    let seed = flags.num("--seed")?.unwrap_or(1);
+    let (r, trace) =
+        run_selection_once_traced(&profile, &SelectionCaseConfig::default(), 0, seed, &[], "-");
+    let mut traces = TraceSet::default();
+    traces.push(trace);
+    emit_trace_set(&flags, &traces)?;
+    let order: String = r
+        .order
+        .iter()
+        .map(|f| if *f == Family::V6 { '6' } else { '4' })
+        .collect();
+    println!("attempt order: {order}");
+    println!("addresses used: {} IPv6, {} IPv4", r.v6_used, r.v4_used);
+    Ok(())
+}
+
+fn cmd_resolver(args: &[String]) -> Outcome {
+    let flags = parse_flags(args, &["--profile", "--reps", "--seed", "--emit-trace"])?;
+    let name = flags.get("--profile").ok_or(Stop::Usage)?;
+    let Some(profile) = all_profiles().into_iter().find(|p| p.name == name) else {
+        return Err(format!("unknown resolver {name:?} (try `lazyeye resolvers`)").into());
     };
-    if let Err(e) = emit_report(&report, format, out) {
-        return fail(&e);
+    let reps = flags.count("--reps")?.unwrap_or(20);
+    let seed = flags.num("--seed")?.unwrap_or(1);
+    let timeout_ms = profile.policy.server_timeout.as_millis() as u64;
+    let cfg = ResolverCaseConfig {
+        sweep: SweepSpec::new(0, timeout_ms + 400, 200),
+        repetitions: reps,
+    };
+    let (samples, traces) = run_resolver_case_traced(&profile, &cfg, seed);
+    emit_trace_set(&flags, &traces)?;
+    let stats = summarize_resolver(&samples);
+    println!(
+        "{}: IPv6 share {}, max v6 delay {:?} ms, per-try timeout {:?} ms, max v6 packets {}",
+        profile.name,
+        fmt_share(stats.v6_share_pct),
+        stats.max_v6_delay_ms,
+        stats.observed_cad_ms,
+        stats.max_v6_packets
+    );
+    Ok(())
+}
+
+fn cmd_config(args: &[String]) -> Outcome {
+    parse_flags(args, &[])?;
+    println!("{}", TestbedConfig::default().to_json());
+    Ok(())
+}
+
+fn cmd_run(args: &[String]) -> Outcome {
+    let flags = parse_flags(args, &["--config"])?;
+    let path = flags.get("--config").ok_or(Stop::Usage)?;
+    let cfg = TestbedConfig::from_json(&read(path)?).map_err(|e| format!("bad config: {e}"))?;
+    let chrome = all_measured_clients()
+        .into_iter()
+        .find(|c| c.id() == "chrome-130.0")
+        .expect("builtin profile");
+    if let Some(c) = &cfg.cad {
+        let s = summarize_cad(&run_cad_case(&chrome, c, cfg.seed));
+        println!("[cad] switchover at {:?} ms", s.first_v4_delay_ms);
     }
-    if let Some(path) = flamegraph {
-        // Per-member probe attribution: a pure function of (spec, seed),
-        // byte-identical across --jobs like the report itself.
-        let (budget, flame) = match fleet::profile_fleet(&spec) {
-            Ok(pair) => pair,
-            Err(e) => return fail(&format!("fleet profiling failed: {e}")),
-        };
-        if let Err(e) = write_flamegraph(path, &flame) {
-            return fail(&e);
-        }
-        print_budget(&budget.render_text(), format);
+    if let Some(c) = &cfg.rd {
+        let s = summarize_rd(&run_rd_case(&chrome, c, cfg.seed));
+        println!("[rd] implements RD: {}", s.implements_rd);
     }
-    ExitCode::SUCCESS
+    if let Some(c) = &cfg.selection {
+        let s = run_selection_case(&chrome, c, cfg.seed);
+        println!("[selection] {} v6 + {} v4 used", s.v6_used, s.v4_used);
+    }
+    if let Some(c) = &cfg.resolver {
+        let p = lazy_eye_inspection::resolver::unbound();
+        let s = summarize_resolver(&run_resolver_case(&p, c, cfg.seed));
+        println!("[resolver] Unbound v6 share {}", fmt_share(s.v6_share_pct));
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some((cmd, rest)) = args.split_first() else {
         return usage();
     };
-    let rest = &args[1..];
-    match cmd.as_str() {
-        "clients" => {
-            let flags = match parse_flags(rest, &[val("--format")]) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            let format = match parse_format(&flags) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            let mut t = Table::new("Client profiles", vec!["id", "engine", "CAD", "RD"]);
-            for c in all_measured_clients() {
-                t.row(vec![
-                    c.id(),
-                    format!("{:?}", c.engine),
-                    c.fixed_cad()
-                        .map(|d| format!("{} ms", d.as_millis()))
-                        .unwrap_or_else(|| "dynamic".into()),
-                    c.he.resolution_delay
-                        .map(|d| format!("{} ms", d.as_millis()))
-                        .unwrap_or_else(|| "-".into()),
-                ]);
-            }
-            print_table(&t, format);
-            ExitCode::SUCCESS
+    let outcome = match cmd.as_str() {
+        "clients" => cmd_clients(rest),
+        "resolvers" => cmd_resolvers(rest),
+        "cad" => cmd_cad(rest),
+        "rd" => cmd_rd(rest),
+        "selection" => cmd_selection(rest),
+        "resolver" => cmd_resolver(rest),
+        "config" => cmd_config(rest),
+        "run" => cmd_run(rest),
+        "infer" => cmd_infer(rest),
+        "campaign" => cmd_campaign(rest),
+        "fleet" => cmd_fleet(rest),
+        "replay" => cmd_replay(rest),
+        "profile" => cmd_profile(rest),
+        _ => Err(Stop::Usage),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Stop::Usage) => usage(),
+        Err(Stop::Fail(msg)) => {
+            eprintln!("lazyeye: {msg}");
+            ExitCode::FAILURE
         }
-        "resolvers" => {
-            let flags = match parse_flags(rest, &[val("--format")]) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            let format = match parse_format(&flags) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            let mut t = Table::new(
-                "Resolver profiles",
-                vec!["name", "kind", "timeout", "v6 pref", "notes"],
-            );
-            for p in all_profiles() {
-                t.row(vec![
-                    p.name.into(),
-                    format!("{:?}", p.kind),
-                    format!("{} ms", p.policy.server_timeout.as_millis()),
-                    format!("{:?}", p.policy.v6_preference),
-                    p.notes.into(),
-                ]);
-            }
-            print_table(&t, format);
-            ExitCode::SUCCESS
-        }
-        "cad" => {
-            let flags = match parse_flags(
-                rest,
-                &[
-                    val("--client"),
-                    val("--from"),
-                    val("--to"),
-                    val("--step"),
-                    val("--reps"),
-                    val("--seed"),
-                    val("--emit-trace"),
-                ],
-            ) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            let Some(id) = flags.get("--client") else {
-                return usage();
-            };
-            let Some(profile) = find_client(id) else {
-                return fail(&format!("unknown client {id:?} (try `lazyeye clients`)"));
-            };
-            let (from, to, step, reps, seed) = match (
-                parse_num(&flags, "--from", 0),
-                parse_num(&flags, "--to", 400),
-                parse_num(&flags, "--step", 25),
-                parse_num(&flags, "--reps", 1),
-                parse_num(&flags, "--seed", 1u64),
-            ) {
-                (Ok(a), Ok(b), Ok(c), Ok(d), Ok(e)) => (a, b, c, d, e),
-                (a, b, c, d, e) => {
-                    let err = [
-                        a.err(),
-                        b.err(),
-                        c.err(),
-                        d.map(|_| ()).err(),
-                        e.map(|_| ()).err(),
-                    ]
-                    .into_iter()
-                    .flatten()
-                    .next()
-                    .unwrap();
-                    return fail(&err);
-                }
-            };
-            if step == 0 {
-                return fail("flag --step: must be > 0");
-            }
-            let cfg = CadCaseConfig {
-                sweep: SweepSpec::new(from, to, step),
-                repetitions: reps,
-            };
-            let (samples, traces) = run_cad_case_traced(&profile, &cfg, seed);
-            if let Err(e) = emit_trace_set(&flags, &traces) {
-                return fail(&e);
-            }
-            let strip: String = samples
-                .iter()
-                .map(|s| match s.family {
-                    Some(Family::V6) => '6',
-                    Some(Family::V4) => '4',
-                    None => 'x',
-                })
-                .collect();
-            println!("{}  {}", profile.figure2_label(), strip);
-            let s = summarize_cad(&samples);
-            println!(
-                "last v6: {:?} ms, first v4: {:?} ms, measured CAD: {:?} ms",
-                s.last_v6_delay_ms, s.first_v4_delay_ms, s.measured_cad_ms
-            );
-            ExitCode::SUCCESS
-        }
-        "rd" => {
-            let flags = match parse_flags(
-                rest,
-                &[
-                    val("--client"),
-                    val("--record"),
-                    val("--delay"),
-                    val("--seed"),
-                    val("--emit-trace"),
-                ],
-            ) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            let Some(id) = flags.get("--client") else {
-                return usage();
-            };
-            let Some(profile) = find_client(id) else {
-                return fail(&format!("unknown client {id:?}"));
-            };
-            let record = match flags.get("--record") {
-                Some("a") => DelayedRecord::A,
-                Some("aaaa") | None => DelayedRecord::Aaaa,
-                Some(other) => {
-                    return fail(&format!("flag --record: expected aaaa|a, got {other:?}"))
-                }
-            };
-            let delay = match parse_num(&flags, "--delay", 400) {
-                Ok(d) => d,
-                Err(e) => return fail(&e),
-            };
-            let seed = match parse_num(&flags, "--seed", 1u64) {
-                Ok(s) => s,
-                Err(e) => return fail(&e),
-            };
-            let cfg = RdCaseConfig {
-                delayed: record,
-                sweep: SweepSpec::new(delay, delay, 1),
-                repetitions: 3,
-            };
-            let (samples, traces) = run_rd_case_traced(&profile, &cfg, seed);
-            if let Err(e) = emit_trace_set(&flags, &traces) {
-                return fail(&e);
-            }
-            for s in &samples {
-                println!(
-                    "delay {} ms rep {}: family {:?}, first SYN at {:?} ms, RD used: {}",
-                    s.configured_delay_ms, s.rep, s.family, s.first_attempt_ms, s.used_rd
-                );
-            }
-            let sum = summarize_rd(&samples);
-            println!("implements RD: {}", sum.implements_rd);
-            ExitCode::SUCCESS
-        }
-        "selection" => {
-            let flags =
-                match parse_flags(rest, &[val("--client"), val("--seed"), val("--emit-trace")]) {
-                    Ok(f) => f,
-                    Err(e) => return fail(&e),
-                };
-            let Some(id) = flags.get("--client") else {
-                return usage();
-            };
-            let Some(profile) = find_client(id) else {
-                return fail(&format!("unknown client {id:?}"));
-            };
-            let seed = match parse_num(&flags, "--seed", 1u64) {
-                Ok(s) => s,
-                Err(e) => return fail(&e),
-            };
-            let (r, trace) = run_selection_once_traced(
-                &profile,
-                &SelectionCaseConfig::default(),
-                0,
-                seed,
-                &[],
-                "-",
-            );
-            let mut traces = TraceSet::default();
-            traces.push(trace);
-            if let Err(e) = emit_trace_set(&flags, &traces) {
-                return fail(&e);
-            }
-            let order: String = r
-                .order
-                .iter()
-                .map(|f| if *f == Family::V6 { '6' } else { '4' })
-                .collect();
-            println!("attempt order: {order}");
-            println!("addresses used: {} IPv6, {} IPv4", r.v6_used, r.v4_used);
-            ExitCode::SUCCESS
-        }
-        "resolver" => {
-            let flags = match parse_flags(
-                rest,
-                &[
-                    val("--profile"),
-                    val("--reps"),
-                    val("--seed"),
-                    val("--emit-trace"),
-                ],
-            ) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            let Some(name) = flags.get("--profile") else {
-                return usage();
-            };
-            let Some(profile) = all_profiles().into_iter().find(|p| p.name == name) else {
-                return fail(&format!(
-                    "unknown resolver {name:?} (try `lazyeye resolvers`)"
-                ));
-            };
-            let reps = match parse_num(&flags, "--reps", 20) {
-                Ok(r) => r,
-                Err(e) => return fail(&e),
-            };
-            let seed = match parse_num(&flags, "--seed", 1u64) {
-                Ok(s) => s,
-                Err(e) => return fail(&e),
-            };
-            let cfg = ResolverCaseConfig {
-                sweep: SweepSpec::new(
-                    0,
-                    profile.policy.server_timeout.as_millis() as u64 + 400,
-                    200,
-                ),
-                repetitions: reps,
-            };
-            let (samples, traces) = run_resolver_case_traced(&profile, &cfg, seed);
-            if let Err(e) = emit_trace_set(&flags, &traces) {
-                return fail(&e);
-            }
-            let stats = summarize_resolver(&samples);
-            println!(
-                "{}: IPv6 share {}, max v6 delay {:?} ms, per-try timeout {:?} ms, max v6 packets {}",
-                profile.name,
-                fmt_share(stats.v6_share_pct),
-                stats.max_v6_delay_ms,
-                stats.observed_cad_ms,
-                stats.max_v6_packets
-            );
-            ExitCode::SUCCESS
-        }
-        "config" => {
-            if let Err(e) = parse_flags(rest, &[]) {
-                return fail(&e);
-            }
-            println!("{}", TestbedConfig::default().to_json());
-            ExitCode::SUCCESS
-        }
-        "run" => {
-            let flags = match parse_flags(rest, &[val("--config")]) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            let Some(path) = flags.get("--config") else {
-                return usage();
-            };
-            let Ok(text) = std::fs::read_to_string(path) else {
-                return fail(&format!("cannot read {path}"));
-            };
-            let cfg = match TestbedConfig::from_json(&text) {
-                Ok(c) => c,
-                Err(e) => return fail(&format!("bad config: {e}")),
-            };
-            let chrome = find_client("chrome-130.0").expect("builtin profile");
-            if let Some(c) = &cfg.cad {
-                let s = summarize_cad(&run_cad_case(&chrome, c, cfg.seed));
-                println!("[cad] switchover at {:?} ms", s.first_v4_delay_ms);
-            }
-            if let Some(c) = &cfg.rd {
-                let s = summarize_rd(&run_rd_case(&chrome, c, cfg.seed));
-                println!("[rd] implements RD: {}", s.implements_rd);
-            }
-            if let Some(c) = &cfg.selection {
-                let s = run_selection_case(&chrome, c, cfg.seed);
-                println!("[selection] {} v6 + {} v4 used", s.v6_used, s.v4_used);
-            }
-            if let Some(c) = &cfg.resolver {
-                let p = lazy_eye_inspection::resolver::unbound();
-                let s = summarize_resolver(&run_resolver_case(&p, c, cfg.seed));
-                println!("[resolver] Unbound v6 share {}", fmt_share(s.v6_share_pct));
-            }
-            ExitCode::SUCCESS
-        }
-        "infer" => {
-            // `--diff old.json new.json` is its own sub-mode with
-            // positional profile-set paths, like `campaign --diff`.
-            if rest.first().map(String::as_str) == Some("--diff") {
-                if rest.len() < 3 {
-                    return fail("--diff needs two profile files: --diff old.json new.json");
-                }
-                let paths = rest[1..3].to_vec();
-                let flags = match parse_flags(&rest[3..], &[val("--format")]) {
-                    Ok(f) => f,
-                    Err(e) => return fail(&e),
-                };
-                let format = match flags.get("--format") {
-                    None | Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    Some(other) => {
-                        return fail(&format!("flag --format: expected text|json, got {other:?}"))
-                    }
-                };
-                return cmd_infer_diff(&paths, format);
-            }
-            let flags = match parse_flags(
-                rest,
-                &[
-                    val("--trace"),
-                    val("--campaign"),
-                    val("--jobs"),
-                    val("--seed"),
-                    val("--format"),
-                    val("--timeline"),
-                    val("--metrics-out"),
-                    switch("--progress"),
-                ],
-            ) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            cmd_infer(flags)
-        }
-        "fleet" => {
-            // `--diff old.json new.json` is its own sub-mode with
-            // positional report paths, like `campaign --diff`.
-            if rest.first().map(String::as_str) == Some("--diff") {
-                if rest.len() < 3 {
-                    return fail("--diff needs two report files: --diff old.json new.json");
-                }
-                let paths = rest[1..3].to_vec();
-                let flags = match parse_flags(&rest[3..], &[val("--format")]) {
-                    Ok(f) => f,
-                    Err(e) => return fail(&e),
-                };
-                let format = match flags.get("--format") {
-                    None | Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    Some(other) => {
-                        return fail(&format!("flag --format: expected text|json, got {other:?}"))
-                    }
-                };
-                return cmd_fleet_diff(&paths, format);
-            }
-            let flags = match parse_flags(
-                rest,
-                &[
-                    val("--spec"),
-                    val("--sessions"),
-                    val("--reps"),
-                    val("--jobs"),
-                    val("--seed"),
-                    val("--format"),
-                    val("--out"),
-                    val("--shard"),
-                    val("--timeline"),
-                    val("--metrics-out"),
-                    val("--flight-record"),
-                    val("--flamegraph"),
-                    multi("--merge"),
-                    switch("--default"),
-                    switch("--progress"),
-                    switch("--print-spec"),
-                ],
-            ) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            cmd_fleet(flags)
-        }
-        "campaign" => {
-            // `--diff old.json new.json` is its own sub-mode with
-            // positional report paths.
-            if rest.first().map(String::as_str) == Some("--diff") {
-                if rest.len() < 3 {
-                    return fail("--diff needs two report files: --diff old.json new.json");
-                }
-                let paths = rest[1..3].to_vec();
-                let flags = match parse_flags(&rest[3..], &[val("--format")]) {
-                    Ok(f) => f,
-                    Err(e) => return fail(&e),
-                };
-                let format = match parse_format(&flags) {
-                    Ok(f) => f,
-                    Err(e) => return fail(&e),
-                };
-                return cmd_campaign_diff(&paths, format);
-            }
-            let flags = match parse_flags(
-                rest,
-                &[
-                    val("--config"),
-                    val("--jobs"),
-                    val("--seed"),
-                    val("--format"),
-                    val("--out"),
-                    val("--checkpoint"),
-                    val("--resume"),
-                    val("--shard"),
-                    val("--timeline"),
-                    val("--metrics-out"),
-                    val("--flight-record"),
-                    val("--flamegraph"),
-                    multi("--merge"),
-                    switch("--default"),
-                    switch("--classify"),
-                    switch("--fast-path"),
-                    switch("--progress"),
-                    switch("--print-spec"),
-                ],
-            ) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            cmd_campaign(flags)
-        }
-        "replay" => {
-            let Some(path) = rest.first() else {
-                return fail("replay needs a bundle file or directory: replay <bundle.json|dir>");
-            };
-            let flags = match parse_flags(
-                &rest[1..],
-                &[val("--format"), val("--timeline"), val("--metrics-out")],
-            ) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            let format = match flags.get("--format") {
-                None | Some("text") => Format::Text,
-                Some("json") => Format::Json,
-                Some(other) => {
-                    return fail(&format!("flag --format: expected text|json, got {other:?}"))
-                }
-            };
-            let obs = match Obs::start(&flags, 1, "bundles") {
-                Ok(o) => o,
-                Err(e) => return fail(&e),
-            };
-            let code = cmd_replay(path, format);
-            match obs.finish() {
-                Ok(()) => code,
-                Err(e) => fail(&e),
-            }
-        }
-        "profile" => {
-            let Some(path) = rest.first() else {
-                return fail(
-                    "profile needs traces, a bundle or a directory: \
-                     profile <traces.json|bundle.json|dir>",
-                );
-            };
-            let flags = match parse_flags(&rest[1..], &[val("--format"), val("--flamegraph")]) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            let format = match flags.get("--format") {
-                None | Some("text") => Format::Text,
-                Some("json") => Format::Json,
-                Some(other) => {
-                    return fail(&format!("flag --format: expected text|json, got {other:?}"))
-                }
-            };
-            cmd_profile(path, &flags, format)
-        }
-        _ => usage(),
+        Err(Stop::Quiet) => ExitCode::FAILURE,
     }
 }
