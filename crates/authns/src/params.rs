@@ -22,7 +22,7 @@ use std::time::Duration;
 use lazyeye_dns::RrType;
 
 /// Which record type a delay (or exclusion) targets.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum DelayTarget {
     /// Delay A answers only.
     A,

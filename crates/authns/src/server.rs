@@ -6,7 +6,6 @@ use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr};
 use std::rc::Rc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use lazyeye_dns::{Message, Name, RData, Rcode, Record, RrType, ZoneAnswer, ZoneSet};
 use lazyeye_net::UdpSocket;
 use lazyeye_sim::{now, sleep, spawn_detached, SimTime};
@@ -109,10 +108,10 @@ impl AuthServer {
                 // The parameter label is the leftmost label below the apex.
                 let rel_depth = qname.label_count() - td.apex.label_count();
                 let label_bytes = qname.label(rel_depth - 1.min(rel_depth)).unwrap_or(b"");
-                let label = String::from_utf8_lossy(label_bytes).to_string();
                 // Parameters live in the *first* label of the name.
-                let first = String::from_utf8_lossy(qname.label(0).unwrap_or(b"")).to_string();
-                let params = parse_test_label(&first).or_else(|| parse_test_label(&label));
+                let first = String::from_utf8_lossy(qname.label(0).unwrap_or(b""));
+                let params = parse_test_label(&first)
+                    .or_else(|| parse_test_label(&String::from_utf8_lossy(label_bytes)));
                 if let Some(p) = params {
                     let (resp, extra) = self.answer_test(query, &qname, qtype, td, &p);
                     return (resp, delay + extra);
@@ -215,7 +214,7 @@ pub async fn serve(sock: UdpSocket, server: AuthServer) {
             if !delay.is_zero() {
                 sleep(delay).await;
             }
-            let _ = sock.send_to(Bytes::from(resp.encode()), src);
+            let _ = sock.send_to(resp.to_bytes(), src);
         });
     }
 }

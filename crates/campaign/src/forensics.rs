@@ -322,9 +322,15 @@ pub(crate) fn on_inference(
         if profile.cad.misfits == 0 && !deviates {
             continue;
         }
-        // This subject's observations only, dropped before the next
-        // subject's are built.
-        let mine = index.observations(&profile.subject);
+        // This subject's observations only, with their run positions,
+        // dropped before the next subject's are built.
+        let observations = index.observations(&profile.subject);
+        let mine: Vec<(usize, &Observation)> = index
+            .positions(&profile.subject)
+            .iter()
+            .copied()
+            .zip(&observations)
+            .collect();
 
         // --- changepoint misfits: the step model disagrees with runs --
         if profile.cad.misfits > 0 {
@@ -343,9 +349,9 @@ pub(crate) fn on_inference(
                 // family-preference, query-order, connection-attempt-delay.
                 _ => (CaseKind::Cad, "baseline"),
             };
-            let of_case: Vec<&(usize, Observation)> =
+            let of_case: Vec<&(usize, &Observation)> =
                 mine.iter().filter(|(_, o)| o.case == case).collect();
-            let observations: Vec<&Observation> = of_case.iter().map(|(_, o)| o).collect();
+            let observations: Vec<&Observation> = of_case.iter().map(|(_, o)| *o).collect();
             let Some(cond) = canonical_condition(&observations, preferred) else {
                 continue;
             };
@@ -400,14 +406,14 @@ pub(crate) fn on_inference(
 fn fire_misfit(
     spec: &CampaignSpec,
     runs: &[RunSpec],
-    mine: &[(usize, Observation)],
+    mine: &[(usize, &Observation)],
     subject: &str,
 ) {
-    let cad_obs: Vec<&(usize, Observation)> = mine
+    let cad_obs: Vec<&(usize, &Observation)> = mine
         .iter()
         .filter(|(_, o)| o.case == CaseKind::Cad)
         .collect();
-    let observations: Vec<&Observation> = cad_obs.iter().map(|(_, o)| o).collect();
+    let observations: Vec<&Observation> = cad_obs.iter().map(|(_, o)| *o).collect();
     let Some(cond) = canonical_condition(&observations, "baseline") else {
         return;
     };

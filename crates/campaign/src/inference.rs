@@ -152,11 +152,19 @@ impl<'r> ObservationIndex<'r> {
         }
     }
 
-    /// `subject`'s observations with their run positions, in run order.
-    /// They share the subject's label, and those of one cell their
-    /// condition label, so building them allocates per cell, not per
-    /// run.
-    pub(crate) fn observations(&self, subject: &str) -> Vec<(usize, Observation)> {
+    /// The run positions of `subject`'s runs, ascending (empty for an
+    /// unknown subject): the positions of [`Self::observations`].
+    pub(crate) fn positions(&self, subject: &str) -> &[usize] {
+        self.subjects
+            .iter()
+            .find(|(s, _)| **s == *subject)
+            .map_or(&[], |(_, positions)| positions)
+    }
+
+    /// `subject`'s observations, in run order. They share the subject's
+    /// label, and those of one cell their condition label, so building
+    /// them allocates per cell, not per run.
+    pub(crate) fn observations(&self, subject: &str) -> Vec<Observation> {
         let Some((label, positions)) = self.subjects.iter().find(|(s, _)| **s == *subject) else {
             return Vec::new();
         };
@@ -169,7 +177,7 @@ impl<'r> ObservationIndex<'r> {
                 Some(c) if cell == &**c => Arc::clone(c),
                 _ => Arc::clone(condition.insert(cell.to_string().into())),
             };
-            out.push((i, observe(run, &self.outputs[i], label.shared(), condition)));
+            out.push(observe(run, &self.outputs[i], label.shared(), condition));
         }
         out
     }
@@ -260,8 +268,7 @@ pub(crate) fn infer_index(
     let mut disagreements = Vec::new();
     for summary_row in features {
         let observations = index.observations(&summary_row.client);
-        let mine: Vec<&Observation> = observations.iter().map(|(_, o)| o).collect();
-        let profile = infer_subject_profile(&summary_row.client, &mine);
+        let profile = infer_subject_profile(&summary_row.client, &observations);
         let conformance = score_profile(&profile);
         let inferred_row = matrix_row(&profile);
         disagreements.extend(diff_matrix_rows(summary_row, &inferred_row));

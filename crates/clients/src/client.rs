@@ -9,7 +9,7 @@ use lazyeye_dns::Name;
 use lazyeye_net::{Family, Host};
 use lazyeye_resolver::{StubConfig, StubResolver};
 
-use crate::http::{http_get, HttpResponse};
+use crate::http::{read_response, send_get, HttpResponse};
 use crate::profiles::ClientProfile;
 
 /// Result of one fetch: the HE run plus the HTTP response if the
@@ -36,6 +36,8 @@ impl FetchResult {
 /// to prevent any caching effects").
 pub struct Client {
     profile: ClientProfile,
+    /// The profile's user agent, built once for every fetch.
+    user_agent: String,
     host: Host,
     engine: HappyEyeballs,
     history: Rc<HistoryStore>,
@@ -74,6 +76,7 @@ impl Client {
         let engine =
             HappyEyeballs::new(profile.he.clone(), host.clone(), stub, Rc::clone(&history));
         Client {
+            user_agent: profile.user_agent(),
             profile,
             host,
             engine,
@@ -104,15 +107,9 @@ impl Client {
         let mut response = None;
         if let Ok(conn) = &he.connection {
             if let Some(stream) = conn.tcp() {
-                let host_header = name.to_string();
-                response = http_get(
-                    stream,
-                    host_header.trim_end_matches('.'),
-                    path,
-                    &self.profile.user_agent(),
-                )
-                .await
-                .ok();
+                if send_get(stream, name, path, &self.user_agent).is_ok() {
+                    response = read_response(stream).await.ok();
+                }
             }
         }
         FetchResult { he, response }

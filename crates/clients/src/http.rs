@@ -1,32 +1,98 @@
 //! A minimal HTTP/1.1 implementation over the simulated TCP streams —
 //! the NGINX stand-in for the testbed and the web tool.
+//!
+//! Parsed messages keep their head as received, one [`Bytes`] each, and
+//! answer field lookups by scanning it: reading a request or a response
+//! allocates nothing per header. Outgoing heads are written into one
+//! reused per-thread buffer, whose bytes the stream copies once.
 
+use std::cell::RefCell;
+use std::io::Write;
 use std::net::SocketAddr;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use lazyeye_net::{NetError, TcpListener, TcpStream};
-use lazyeye_sim::spawn;
+use lazyeye_sim::spawn_detached;
+
+thread_local! {
+    /// The buffer outgoing messages are assembled in.
+    static OUTGOING: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Assembles a message in the thread's outgoing buffer with `build`, then
+/// writes it to `stream` (one allocation: the stream's copy).
+fn send(stream: &TcpStream, build: impl FnOnce(&mut Vec<u8>)) -> Result<(), NetError> {
+    OUTGOING.with(|buf| {
+        let mut buf = buf.borrow_mut();
+        buf.clear();
+        build(&mut buf);
+        stream.write(&buf)
+    })
+}
+
+/// A message head as received: the start line, then `name: value` lines,
+/// CRLF-separated, without the blank line that ends it.
+#[derive(Clone, Debug)]
+struct Head(Bytes);
+
+impl Head {
+    /// Wraps the head bytes, replacing invalid UTF-8 like
+    /// `String::from_utf8_lossy` (a copy only in that case).
+    fn new(raw: Bytes) -> Head {
+        match std::str::from_utf8(&raw) {
+            Ok(_) => Head(raw),
+            Err(_) => Head(Bytes::from(String::from_utf8_lossy(&raw).into_owned())),
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("heads are checked UTF-8")
+    }
+
+    fn start_line(&self) -> &str {
+        self.as_str().split("\r\n").next().unwrap_or("")
+    }
+
+    /// The header lines, split at their first colon; lines without one
+    /// yield `None`.
+    fn fields(&self) -> impl Iterator<Item = Option<(&str, &str)>> {
+        self.as_str()
+            .split("\r\n")
+            .skip(1)
+            .filter(|line| !line.is_empty())
+            .map(|line| line.split_once(':').map(|(n, v)| (n.trim(), v.trim())))
+    }
+
+    /// The first value of the (case-insensitive) field `name`.
+    fn field(&self, name: &str) -> Option<&str> {
+        self.fields()
+            .flatten()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
+    }
+}
 
 /// A parsed HTTP request (enough for GET-based measurement endpoints).
 #[derive(Clone, Debug)]
 pub struct HttpRequest {
-    /// Method ("GET").
-    pub method: String,
-    /// Request target ("/ip").
-    pub path: String,
-    /// Headers as (lowercased-name, value) pairs.
-    pub headers: Vec<(String, String)>,
+    head: Head,
 }
 
 impl HttpRequest {
+    /// Method ("GET").
+    pub fn method(&self) -> &str {
+        self.head.start_line().split(' ').next().unwrap_or("")
+    }
+
+    /// Request target ("/ip").
+    pub fn path(&self) -> &str {
+        self.head.start_line().split(' ').nth(1).unwrap_or("")
+    }
+
     /// First header value by (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        self.head.field(name)
     }
 }
 
@@ -35,10 +101,9 @@ impl HttpRequest {
 pub struct HttpResponse {
     /// Status code.
     pub status: u16,
-    /// Reason phrase.
-    pub reason: String,
-    /// Headers.
-    pub headers: Vec<(String, String)>,
+    /// The status line and header lines. A response built to be served
+    /// carries no `content-length`: serving it adds the body's.
+    head: Head,
     /// Body bytes.
     pub body: Bytes,
 }
@@ -46,12 +111,12 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// 200 OK with a text body.
     pub fn ok(body: impl Into<Bytes>) -> HttpResponse {
-        let body = body.into();
         HttpResponse {
             status: 200,
-            reason: "OK".into(),
-            headers: vec![("content-type".into(), "text/plain".into())],
-            body,
+            head: Head(Bytes::from_static(
+                b"HTTP/1.1 200 OK\r\ncontent-type: text/plain",
+            )),
+            body: body.into(),
         }
     }
 
@@ -59,10 +124,29 @@ impl HttpResponse {
     pub fn not_found() -> HttpResponse {
         HttpResponse {
             status: 404,
-            reason: "Not Found".into(),
-            headers: Vec::new(),
+            head: Head(Bytes::from_static(b"HTTP/1.1 404 Not Found")),
             body: Bytes::from_static(b"not found"),
         }
+    }
+
+    /// A response with the given status, reason phrase and body, and no
+    /// headers.
+    pub fn with_reason(status: u16, reason: &str, body: Bytes) -> HttpResponse {
+        HttpResponse {
+            status,
+            head: Head::new(Bytes::from(format!("HTTP/1.1 {status} {reason}"))),
+            body,
+        }
+    }
+
+    /// Reason phrase.
+    pub fn reason(&self) -> &str {
+        self.head.start_line().splitn(3, ' ').nth(2).unwrap_or("")
+    }
+
+    /// First header value by (case-insensitive) name.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.head.field(name)
     }
 
     /// Body as UTF-8 (lossy).
@@ -70,14 +154,12 @@ impl HttpResponse {
         String::from_utf8_lossy(&self.body).to_string()
     }
 
-    fn serialize(&self) -> Vec<u8> {
-        let mut out = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason).into_bytes();
-        for (n, v) in &self.headers {
-            out.extend_from_slice(format!("{n}: {v}\r\n").as_bytes());
-        }
-        out.extend_from_slice(format!("content-length: {}\r\n\r\n", self.body.len()).as_bytes());
+    /// Writes the response as served: the head, the body's
+    /// `content-length`, the body.
+    fn serialize(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.head.0);
+        let _ = write!(out, "\r\ncontent-length: {}\r\n\r\n", self.body.len());
         out.extend_from_slice(&self.body);
-        out
     }
 }
 
@@ -113,15 +195,34 @@ pub async fn http_get(
     path: &str,
     user_agent: &str,
 ) -> Result<HttpResponse, HttpError> {
-    let req = format!(
-        "GET {path} HTTP/1.1\r\nhost: {host}\r\nuser-agent: {user_agent}\r\nconnection: close\r\n\r\n"
-    );
-    stream.write(req.as_bytes())?;
+    send_get(stream, host, path, user_agent)?;
     read_response(stream).await
 }
 
-/// Reads one response from the stream.
-pub async fn read_response(stream: &TcpStream) -> Result<HttpResponse, HttpError> {
+/// Writes a GET request for `path` on `host` (any `Display`, so a caller
+/// can print a name straight into the head).
+pub(crate) fn send_get(
+    stream: &TcpStream,
+    host: impl std::fmt::Display,
+    path: &str,
+    user_agent: &str,
+) -> Result<(), NetError> {
+    send(stream, |out| {
+        let _ = write!(out, "GET {path} HTTP/1.1\r\nhost: {host}");
+        if out.last() == Some(&b'.') {
+            // A fully qualified name's root dot is not part of the host.
+            out.pop();
+        }
+        let _ = write!(
+            out,
+            "\r\nuser-agent: {user_agent}\r\nconnection: close\r\n\r\n"
+        );
+    })
+}
+
+/// Reads a message head: everything up to the blank line, and whatever
+/// followed it in the same read.
+async fn read_head(stream: &TcpStream) -> Result<(Head, Bytes), HttpError> {
     // read_until returns everything read so far, which can include body
     // bytes that rode along in the same segment — split at the delimiter
     // *before* parsing headers.
@@ -130,71 +231,45 @@ pub async fn read_response(stream: &TcpStream) -> Result<HttpResponse, HttpError
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
         .ok_or(HttpError::Malformed)?;
-    let head_str = String::from_utf8_lossy(&raw[..head_end]).to_string();
-    let mut lines = head_str.split("\r\n");
-    let status_line = lines.next().ok_or(HttpError::Malformed)?;
-    let mut parts = status_line.splitn(3, ' ');
+    Ok((Head::new(raw.slice(..head_end)), raw.slice(head_end + 4..)))
+}
+
+/// Reads one response from the stream.
+pub async fn read_response(stream: &TcpStream) -> Result<HttpResponse, HttpError> {
+    let (head, rest) = read_head(stream).await?;
+    let mut parts = head.start_line().splitn(3, ' ');
     let _version = parts.next().ok_or(HttpError::Malformed)?;
     let status: u16 = parts
         .next()
         .ok_or(HttpError::Malformed)?
         .parse()
         .map_err(|_| HttpError::Malformed)?;
-    let reason = parts.next().unwrap_or("").to_string();
-    let mut headers = Vec::new();
     let mut content_length = 0usize;
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (n, v) = line.split_once(':').ok_or(HttpError::Malformed)?;
-        let name = n.trim().to_ascii_lowercase();
-        let value = v.trim().to_string();
-        if name == "content-length" {
+    for field in head.fields() {
+        let (name, value) = field.ok_or(HttpError::Malformed)?;
+        if name.eq_ignore_ascii_case("content-length") {
             content_length = value.parse().map_err(|_| HttpError::Malformed)?;
         }
-        headers.push((name, value));
     }
-    let mut body = raw[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        body.extend_from_slice(&stream.read_exact(content_length - body.len()).await?);
-    }
-    body.truncate(content_length);
-    Ok(HttpResponse {
-        status,
-        reason,
-        headers,
-        body: Bytes::from(body),
-    })
+    let body = if rest.len() >= content_length {
+        rest.slice(..content_length)
+    } else {
+        let mut body = rest.to_vec();
+        while body.len() < content_length {
+            body.extend_from_slice(&stream.read_exact(content_length - body.len()).await?);
+        }
+        Bytes::from(body)
+    };
+    Ok(HttpResponse { status, head, body })
 }
 
 /// Reads one request from the stream (server side).
 pub async fn read_request(stream: &TcpStream) -> Result<HttpRequest, HttpError> {
-    let raw = stream.read_until(b"\r\n\r\n").await?;
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or(HttpError::Malformed)?;
-    let head_str = String::from_utf8_lossy(&raw[..head_end]).to_string();
-    let mut lines = head_str.split("\r\n");
-    let request_line = lines.next().ok_or(HttpError::Malformed)?;
-    let mut parts = request_line.split(' ');
-    let method = parts.next().ok_or(HttpError::Malformed)?.to_string();
-    let path = parts.next().ok_or(HttpError::Malformed)?.to_string();
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some((n, v)) = line.split_once(':') {
-            headers.push((n.trim().to_ascii_lowercase(), v.trim().to_string()));
-        }
-    }
-    Ok(HttpRequest {
-        method,
-        path,
-        headers,
-    })
+    let (head, _) = read_head(stream).await?;
+    let mut parts = head.start_line().split(' ');
+    parts.next().ok_or(HttpError::Malformed)?;
+    parts.next().ok_or(HttpError::Malformed)?;
+    Ok(HttpRequest { head })
 }
 
 /// The handler type for [`serve_http`]: request + client source address →
@@ -211,10 +286,10 @@ pub async fn serve_http(listener: TcpListener, handler: Handler) {
             return;
         };
         let handler = Rc::clone(&handler);
-        spawn(async move {
+        spawn_detached(async move {
             if let Ok(req) = read_request(&stream).await {
                 let resp = handler(&req, peer);
-                let _ = stream.write(&resp.serialize());
+                let _ = send(&stream, |out| resp.serialize(out));
             }
             stream.close();
         });
@@ -225,7 +300,7 @@ pub async fn serve_http(listener: TcpListener, handler: Handler) {
 mod tests {
     use super::*;
     use lazyeye_net::Network;
-    use lazyeye_sim::Sim;
+    use lazyeye_sim::{spawn, Sim};
 
     fn sa(ip: &str, port: u16) -> SocketAddr {
         SocketAddr::new(ip.parse().unwrap(), port)
@@ -244,7 +319,7 @@ mod tests {
         let resp = sim.block_on(async move {
             let listener = server.tcp_listen_any(80).unwrap();
             let handler: Handler = Rc::new(|req: &HttpRequest, peer: SocketAddr| {
-                assert_eq!(req.method, "GET");
+                assert_eq!(req.method(), "GET");
                 HttpResponse::ok(format!("ip={}", peer.ip()))
             });
             spawn(serve_http(listener, handler));
@@ -287,7 +362,7 @@ mod tests {
         let (status, len) = sim.block_on(async move {
             let listener = server.tcp_listen_any(80).unwrap();
             let handler: Handler = Rc::new(|req: &HttpRequest, _| {
-                if req.path == "/big" {
+                if req.path() == "/big" {
                     HttpResponse::ok(vec![0x61u8; 100_000])
                 } else {
                     HttpResponse::not_found()

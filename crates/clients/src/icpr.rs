@@ -188,21 +188,12 @@ pub async fn visit_via_egress(
         .unwrap_or(reply.len());
     let status_line = String::from_utf8_lossy(&reply[..pos]).to_string();
     let body = bytes::Bytes::copy_from_slice(reply.get(pos + 1..).unwrap_or(&[]));
-    if status_line.starts_with("OK") {
-        Ok(HttpResponse {
-            status: 200,
-            reason: status_line,
-            headers: Vec::new(),
-            body,
-        })
+    let status = if status_line.starts_with("OK") {
+        200
     } else {
-        Ok(HttpResponse {
-            status: 502,
-            reason: status_line,
-            headers: Vec::new(),
-            body,
-        })
-    }
+        502
+    };
+    Ok(HttpResponse::with_reason(status, &status_line, body))
 }
 
 /// Convenience wrapper: spawn an egress node on `host`:`port`.

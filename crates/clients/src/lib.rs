@@ -125,7 +125,7 @@ mod icpr_tests {
                 .await
                 .unwrap()
         });
-        assert!(reply.reason.starts_with("OK IPv4"), "{}", reply.reason);
+        assert!(reply.reason().starts_with("OK IPv4"), "{}", reply.reason());
         assert_eq!(reply.text(), "src=198.51.100.9", "fell back to egress IPv4");
     }
 
@@ -172,15 +172,15 @@ mod icpr_tests {
             });
             if expect_v6 {
                 assert!(
-                    reply.reason.starts_with("OK IPv6"),
+                    reply.reason().starts_with("OK IPv6"),
                     "{operator}: {}",
-                    reply.reason
+                    reply.reason()
                 );
             } else {
                 assert!(
-                    reply.reason.starts_with("OK IPv4"),
+                    reply.reason().starts_with("OK IPv4"),
                     "{operator}: {}",
-                    reply.reason
+                    reply.reason()
                 );
             }
         }

@@ -2,54 +2,78 @@
 //! uses: [`Bytes`] (cheaply cloneable immutable buffer), [`BytesMut`]
 //! (growable builder) and the [`Buf`]/[`BufMut`] cursor traits.
 //!
-//! [`Bytes`] is an `Arc<[u8]>` plus a sub-range, so `clone()` and
-//! `slice()` are O(1) and never copy payload — the property the simulated
-//! network relies on when it fans one packet out to capture hooks and
-//! receivers.
+//! [`Bytes`] is a sub-range of either a `&'static [u8]` or an
+//! `Arc<[u8]>`, so `clone()` and `slice()` are O(1) and never copy
+//! payload — the property the simulated network relies on when it fans
+//! one packet out to capture hooks and receivers. An empty or static
+//! buffer allocates nothing, and any other costs exactly one allocation:
+//! the `Arc<[u8]>` holding its bytes.
 
 #![forbid(unsafe_code)]
 
 use std::ops::{Deref, RangeBounds};
 use std::sync::Arc;
 
+/// The backing store of a [`Bytes`].
+#[derive(Clone)]
+enum Store {
+    Static(&'static [u8]),
+    /// Reference count and payload in one allocation (`Arc<Vec<u8>>`
+    /// would take two: the `Arc` box and the vector's buffer).
+    Shared(Arc<[u8]>),
+}
+
 /// A cheaply cloneable, immutable, contiguous slice of memory.
 ///
-/// The backing store is `Arc<Vec<u8>>` rather than `Arc<[u8]>`: converting
-/// a `Vec` into `Arc<[u8]>` re-allocates and copies the buffer, and
-/// `Bytes::from(Vec<u8>)` sits on the simulator's per-packet hot path —
-/// wrapping the existing vec keeps construction to one small `Arc`
-/// allocation with zero payload copies.
-#[derive(Clone, Default)]
+/// Building one from a slice copies the bytes once into a fresh
+/// `Arc<[u8]>`; building one from an owned `Vec`, `Box` or `String` does
+/// the same and frees the source, so a producer that writes into a
+/// reused buffer and then copies pays one allocation per `Bytes`.
+#[derive(Clone)]
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
+    store: Store,
     start: usize,
     end: usize,
 }
 
+impl Default for Bytes {
+    fn default() -> Bytes {
+        Bytes::from_static(&[])
+    }
+}
+
 impl Bytes {
-    /// Creates an empty `Bytes`.
+    /// Creates an empty `Bytes` (no allocation).
     pub fn new() -> Bytes {
         Bytes::default()
     }
 
-    /// Copies a static slice into a new `Bytes` (unlike the real crate
-    /// this stand-in has no zero-copy static variant; the one-time copy
-    /// at construction keeps `clone()`/`slice()` O(1) afterwards).
+    /// Wraps a static slice (no allocation, no copy).
     pub fn from_static(s: &'static [u8]) -> Bytes {
-        Bytes::from_vec(s.to_vec())
-    }
-
-    /// Copies `s` into a new `Bytes`.
-    pub fn copy_from_slice(s: &[u8]) -> Bytes {
-        Bytes::from_vec(s.to_vec())
-    }
-
-    fn from_vec(v: Vec<u8>) -> Bytes {
-        let end = v.len();
         Bytes {
-            data: Arc::new(v),
+            store: Store::Static(s),
             start: 0,
-            end,
+            end: s.len(),
+        }
+    }
+
+    /// Copies `s` into a new `Bytes`: one allocation, none when empty.
+    pub fn copy_from_slice(s: &[u8]) -> Bytes {
+        if s.is_empty() {
+            return Bytes::new();
+        }
+        Bytes {
+            store: Store::Shared(Arc::from(s)),
+            start: 0,
+            end: s.len(),
+        }
+    }
+
+    /// The whole backing store.
+    fn store(&self) -> &[u8] {
+        match &self.store {
+            Store::Static(s) => s,
+            Store::Shared(s) => s,
         }
     }
 
@@ -84,7 +108,7 @@ impl Bytes {
             "slice out of bounds: {lo}..{hi} of {len}"
         );
         Bytes {
-            data: Arc::clone(&self.data),
+            store: self.store.clone(),
             start: self.start + lo,
             end: self.start + hi,
         }
@@ -106,7 +130,7 @@ impl Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        &self.store()[self.start..self.end]
     }
 }
 
@@ -124,19 +148,19 @@ impl std::borrow::Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes::from_vec(v)
+        Bytes::copy_from_slice(&v)
     }
 }
 
 impl From<Box<[u8]>> for Bytes {
     fn from(v: Box<[u8]>) -> Bytes {
-        Bytes::from_vec(v.into_vec())
+        Bytes::copy_from_slice(&v)
     }
 }
 
 impl From<String> for Bytes {
     fn from(s: String) -> Bytes {
-        Bytes::from_vec(s.into_bytes())
+        Bytes::copy_from_slice(s.as_bytes())
     }
 }
 
@@ -245,9 +269,10 @@ impl BytesMut {
         self.data.extend_from_slice(s);
     }
 
-    /// Converts the accumulated bytes into an immutable [`Bytes`].
+    /// Converts the accumulated bytes into an immutable [`Bytes`] (one
+    /// allocation, for the copy).
     pub fn freeze(self) -> Bytes {
-        Bytes::from_vec(self.data)
+        Bytes::copy_from_slice(&self.data)
     }
 }
 

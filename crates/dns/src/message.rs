@@ -1,7 +1,11 @@
 //! DNS messages: header, questions, sections, wire codec.
 
+use std::cell::RefCell;
+
+use bytes::Bytes;
+
 use crate::error::DnsError;
-use crate::name::Name;
+use crate::name::{CompressMap, Name};
 use crate::rr::{RData, Record, RrClass, RrType};
 
 /// Response codes (RFC 1035 §4.1.1, subset).
@@ -163,10 +167,34 @@ impl Message {
         self.questions.first()
     }
 
-    /// Encodes to wire format with name compression in owner names.
+    /// Encodes to wire format with name compression in owner names (one
+    /// allocation: the returned vector).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128);
-        let mut compress = crate::name::CompressMap::new();
+        self.with_encoded(<[u8]>::to_vec)
+    }
+
+    /// Encodes straight into a [`Bytes`] payload, at one allocation.
+    pub fn to_bytes(&self) -> Bytes {
+        self.with_encoded(Bytes::copy_from_slice)
+    }
+
+    /// Runs `f` on the encoded message, built in a per-thread buffer
+    /// (with a per-thread compression map) that later encodes reuse.
+    fn with_encoded<T>(&self, f: impl FnOnce(&[u8]) -> T) -> T {
+        thread_local! {
+            static BUFFERS: RefCell<(Vec<u8>, CompressMap)> = RefCell::default();
+        }
+        BUFFERS.with(|buffers| {
+            let mut buffers = buffers.borrow_mut();
+            let (out, compress) = &mut *buffers;
+            out.clear();
+            compress.clear();
+            self.encode_into(out, compress);
+            f(out)
+        })
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>, compress: &mut CompressMap) {
         out.extend_from_slice(&self.header.id.to_be_bytes());
         let mut flags: u16 = 0;
         if self.header.qr {
@@ -196,7 +224,7 @@ impl Message {
             out.extend_from_slice(&(count as u16).to_be_bytes());
         }
         for q in &self.questions {
-            q.name.encode_compressed(&mut out, &mut compress);
+            q.name.encode_compressed(out, compress);
             out.extend_from_slice(&q.qtype.code().to_be_bytes());
             out.extend_from_slice(&q.qclass.code().to_be_bytes());
         }
@@ -206,7 +234,7 @@ impl Message {
             .chain(self.authorities.iter())
             .chain(self.additionals.iter())
         {
-            r.name.encode_compressed(&mut out, &mut compress);
+            r.name.encode_compressed(out, compress);
             out.extend_from_slice(&r.rtype().code().to_be_bytes());
             out.extend_from_slice(&r.class.code().to_be_bytes());
             out.extend_from_slice(&r.ttl.to_be_bytes());
@@ -214,11 +242,10 @@ impl Message {
             // length prefix is back-patched (no per-record scratch vec).
             let len_pos = out.len();
             out.extend_from_slice(&[0, 0]);
-            r.rdata.encode(&mut out);
+            r.rdata.encode(out);
             let rdata_len = out.len() - len_pos - 2;
             out[len_pos..len_pos + 2].copy_from_slice(&(rdata_len as u16).to_be_bytes());
         }
-        out
     }
 
     /// Decodes from wire format.
@@ -263,9 +290,13 @@ impl Message {
             Vec::with_capacity(ns),
             Vec::with_capacity(ar),
         ];
+        // Owner names mostly repeat the question's or the previous
+        // record's; a repeat shares that name's allocation.
+        let mut recent = questions.last().map(|q| q.name.clone());
         for (idx, count) in [an, ns, ar].into_iter().enumerate() {
             for _ in 0..count {
-                let name = Name::decode(msg, &mut pos)?;
+                let name = Name::decode_reusing(msg, &mut pos, recent.as_ref())?;
+                recent = Some(name.clone());
                 if pos + 10 > msg.len() {
                     return Err(DnsError::Truncated);
                 }

@@ -98,6 +98,11 @@ impl CompressMap {
         CompressMap::default()
     }
 
+    /// Forgets every offset, keeping the allocation for the next encode.
+    pub(crate) fn clear(&mut self) {
+        self.offsets.clear();
+    }
+
     /// The offset of the first previously written name suffix equal
     /// (case-insensitively) to the wire-form label run `suffix`, if any
     /// — matching the first-insert-wins semantics of the old keyed map.
@@ -281,6 +286,17 @@ impl Name {
     /// pointers. `*pos` advances past the name *in the original stream*
     /// (pointers do not move it further).
     pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Name, DnsError> {
+        Name::decode_reusing(msg, pos, None)
+    }
+
+    /// [`Name::decode`], returning a clone of `known` instead of a fresh
+    /// allocation when the decoded bytes equal it exactly (case
+    /// included): a message's owner names mostly repeat its question.
+    pub(crate) fn decode_reusing(
+        msg: &[u8],
+        pos: &mut usize,
+        known: Option<&Name>,
+    ) -> Result<Name, DnsError> {
         // Labels accumulate on the stack and hit the heap exactly once,
         // at the terminal root label. 255 (not 254) preserves the
         // decoder's historical acceptance of names whose label run sums
@@ -298,6 +314,9 @@ impl Name {
                 }
                 if total == 0 {
                     return Ok(Name::root());
+                }
+                if let Some(known) = known.filter(|k| *k.wire == buf[..total]) {
+                    return Ok(known.clone());
                 }
                 return Ok(Name {
                     wire: Arc::from(&buf[..total]),

@@ -201,14 +201,22 @@ impl SvcParams {
     pub fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.priority.to_be_bytes());
         self.target.encode_uncompressed(out);
-        let mut params = self.params.clone();
-        params.sort_by_key(SvcParam::key);
-        for p in params {
+        let write = |out: &mut Vec<u8>, p: &SvcParam| {
             out.extend_from_slice(&p.key().to_be_bytes());
-            let mut val = Vec::new();
-            p.encode_value(&mut val);
-            out.extend_from_slice(&(val.len() as u16).to_be_bytes());
-            out.extend_from_slice(&val);
+            // The value goes straight into `out`; its length prefix is
+            // back-patched.
+            let len_pos = out.len();
+            out.extend_from_slice(&[0, 0]);
+            p.encode_value(out);
+            let len = out.len() - len_pos - 2;
+            out[len_pos..len_pos + 2].copy_from_slice(&(len as u16).to_be_bytes());
+        };
+        if self.params.is_sorted_by_key(SvcParam::key) {
+            self.params.iter().for_each(|p| write(out, p));
+        } else {
+            let mut sorted: Vec<&SvcParam> = self.params.iter().collect();
+            sorted.sort_by_key(|p| p.key());
+            sorted.into_iter().for_each(|p| write(out, p));
         }
     }
 

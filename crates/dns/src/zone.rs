@@ -165,24 +165,20 @@ impl Zone {
             return ZoneAnswer::Delegation { ns, glue };
         }
 
-        let at_name: Vec<&Record> = self.records.iter().filter(|r| &r.name == qname).collect();
-        if at_name.is_empty() {
+        let at_name = || self.records.iter().filter(|r| &r.name == qname);
+        if at_name().next().is_none() {
             return ZoneAnswer::NxDomain(Box::new(self.soa()));
         }
 
-        let matching: Vec<Record> = at_name
-            .iter()
-            .filter(|r| r.rtype() == qtype)
-            .map(|r| (*r).clone())
-            .collect();
+        let matching: Vec<Record> = at_name().filter(|r| r.rtype() == qtype).cloned().collect();
         if !matching.is_empty() {
             return ZoneAnswer::Records(matching);
         }
 
         // CNAME chase (single link, then recurse within the zone).
-        if let Some(cname_rec) = at_name.iter().find(|r| r.rtype() == RrType::Cname) {
+        if let Some(cname_rec) = at_name().find(|r| r.rtype() == RrType::Cname) {
             if qtype != RrType::Cname {
-                let mut chain = vec![(*cname_rec).clone()];
+                let mut chain = vec![cname_rec.clone()];
                 if let RData::Cname(target) = &cname_rec.rdata {
                     // Target outside the zone or empty: return just the
                     // CNAME; the resolver restarts the query.

@@ -1,6 +1,8 @@
 //! Profile inference: a sweep's observations → the client's inferred
 //! Happy Eyeballs state-machine parameters.
 
+use std::borrow::Borrow;
+
 use lazyeye_net::Family;
 use lazyeye_trace::TraceSet;
 
@@ -194,14 +196,16 @@ pub fn infer_profile(subject: &str, observations: &[Observation]) -> InferredPro
 
 /// Infers one subject's profile from that subject's own observations, in
 /// run order: [`infer_profile`] without the scan over every subject's
-/// observations. `mine` must hold no other subject's observations.
-pub fn infer_subject_profile(subject: &str, mine: &[&Observation]) -> InferredProfile {
-    debug_assert!(mine.iter().all(|o| *o.subject == *subject));
+/// observations. `mine` must hold no other subject's observations; it may
+/// hold them by value or by reference, so a caller that builds a
+/// subject's observations passes them without repacking.
+pub fn infer_subject_profile<O: Borrow<Observation>>(subject: &str, mine: &[O]) -> InferredProfile {
+    debug_assert!(mine.iter().all(|o| *o.borrow().subject == *subject));
 
     // --- CAD cell: changepoint over the sweep grid --------------------
     let cad_obs: Vec<&Observation> = mine
         .iter()
-        .copied()
+        .map(Borrow::borrow)
         .filter(|o| o.case == CaseKind::Cad)
         .collect();
     let cad_cell = canonical_cell(&cad_obs, "baseline");
@@ -250,7 +254,7 @@ pub fn infer_subject_profile(subject: &str, mine: &[&Observation]) -> InferredPr
     // --- RD cell ------------------------------------------------------
     let rd_obs: Vec<&Observation> = mine
         .iter()
-        .copied()
+        .map(Borrow::borrow)
         .filter(|o| o.case == CaseKind::Rd)
         .collect();
     let rd_cell = canonical_cell(&rd_obs, "delayed-aaaa");
@@ -286,7 +290,7 @@ pub fn infer_subject_profile(subject: &str, mine: &[&Observation]) -> InferredPr
     // --- Selection cell -----------------------------------------------
     let sel_obs: Vec<&Observation> = mine
         .iter()
-        .copied()
+        .map(Borrow::borrow)
         .filter(|o| o.case == CaseKind::Selection)
         .collect();
     let sel_cell = canonical_cell(&sel_obs, "-");

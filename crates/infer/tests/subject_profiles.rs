@@ -99,10 +99,11 @@ proptest! {
         for subject in SUBJECTS.iter().chain(&["absent-1.0"]) {
             let bucket: Vec<&Observation> =
                 all.iter().filter(|o| &*o.subject == *subject).collect();
-            prop_assert_eq!(
-                infer_subject_profile(subject, &bucket),
-                infer_profile(subject, &all)
-            );
+            let whole = infer_profile(subject, &all);
+            prop_assert_eq!(&infer_subject_profile(subject, &bucket), &whole);
+            // A bucket held by value infers the same profile.
+            let owned: Vec<Observation> = bucket.iter().map(|o| (*o).clone()).collect();
+            prop_assert_eq!(&infer_subject_profile(subject, &owned), &whole);
         }
     }
 

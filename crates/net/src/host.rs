@@ -10,7 +10,7 @@ use crate::netem::NetemRule;
 use crate::pcap::Capture;
 use crate::tcp::{ConnectOpts, TcpListener, TcpStream};
 use crate::udp::UdpSocket;
-use crate::world::{ClosedPortPolicy, World, WorldRc};
+use crate::world::{ClosedPortPolicy, World, WorldCell, WorldRc};
 
 /// Counters describing fabric activity.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -39,7 +39,7 @@ impl Network {
     /// directly connected link, like the paper's two-host testbed).
     pub fn new() -> Network {
         Network {
-            world: Rc::new(std::cell::RefCell::new(World::new())),
+            world: Rc::new(WorldCell::new(World::new())),
         }
     }
 

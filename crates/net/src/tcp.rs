@@ -548,18 +548,16 @@ impl TcpStream {
         Ok(Bytes::from(out))
     }
 
-    /// Reads until (and including) the delimiter byte sequence appears.
+    /// Reads until (and including) the delimiter byte sequence appears,
+    /// returning everything received by then: the receive buffer is
+    /// searched in place and taken in one piece, so the result costs one
+    /// allocation however many segments it spans.
     pub async fn read_until(&self, delim: &[u8]) -> Result<Bytes, NetError> {
-        let mut out: Vec<u8> = Vec::new();
-        loop {
-            if out.windows(delim.len()).any(|w| w == delim) {
-                return Ok(Bytes::from(out));
-            }
-            match self.read(usize::MAX).await? {
-                Some(chunk) => out.extend_from_slice(&chunk),
-                None => return Err(NetError::Closed),
-            }
+        ReadUntilFut {
+            stream: self,
+            delim,
         }
+        .await
     }
 
     /// Half-closes the stream (sends FIN). Reads on the peer will drain the
@@ -610,14 +608,54 @@ impl std::future::Future for ReadFut<'_> {
         let mut c = conn.borrow_mut();
         if !c.recv.is_empty() {
             let n = self.max.min(c.recv.len());
-            let chunk: Vec<u8> = c.recv.drain(..n).collect();
-            return Poll::Ready(Ok(Some(Bytes::from(chunk))));
+            return Poll::Ready(Ok(Some(take_front(&mut c.recv, n))));
         }
         if c.reset {
             return Poll::Ready(Err(NetError::ConnectionReset));
         }
         if c.fin_received || c.phase == Phase::Closed {
             return Poll::Ready(Ok(None));
+        }
+        c.read_waker = Some(cx.waker().clone());
+        Poll::Pending
+    }
+}
+
+/// Moves the first `n` received bytes into one `Bytes` (one allocation).
+fn take_front(recv: &mut VecDeque<u8>, n: usize) -> Bytes {
+    let chunk = Bytes::copy_from_slice(&recv.make_contiguous()[..n]);
+    recv.drain(..n);
+    chunk
+}
+
+struct ReadUntilFut<'a> {
+    stream: &'a TcpStream,
+    delim: &'a [u8],
+}
+
+impl std::future::Future for ReadUntilFut<'_> {
+    type Output = Result<Bytes, NetError>;
+    fn poll(self: std::pin::Pin<&mut Self>, cx: &mut std::task::Context<'_>) -> Poll<Self::Output> {
+        // Step for step what reading chunk by chunk until the delimiter
+        // shows did: the same wakes, so the same polls.
+        let Some(conn) = self.stream.conn() else {
+            return Poll::Ready(Err(NetError::Closed));
+        };
+        let mut c = conn.borrow_mut();
+        let delim = self.delim;
+        let len = c.recv.len();
+        if c.recv
+            .make_contiguous()
+            .windows(delim.len())
+            .any(|w| w == delim)
+        {
+            return Poll::Ready(Ok(take_front(&mut c.recv, len)));
+        }
+        if c.reset {
+            return Poll::Ready(Err(NetError::ConnectionReset));
+        }
+        if c.fin_received || c.phase == Phase::Closed {
+            return Poll::Ready(Err(NetError::Closed));
         }
         c.read_waker = Some(cx.waker().clone());
         Poll::Pending

@@ -1,19 +1,21 @@
 //! Shared simulation state: hosts, routing, packet transmission.
 //!
 //! Packet flow: `send_packet` applies capture + netem on the sender side,
-//! schedules one delivery event ([`lazyeye_sim::schedule_at`]: a timer
-//! wheel entry, no task) per surviving copy, and `deliver` dispatches to
-//! the UDP/TCP state machines on the destination host. Delivery order
-//! within a flow is preserved by a per-flow clamp (netem `reorder` lets a
-//! packet escape it), so the simulated network behaves like a FIFO link with
-//! configurable per-class delay — the same model `tc-netem` imposes.
+//! parks each surviving copy in the world's in-flight slab and schedules
+//! its delivery event ([`lazyeye_sim::schedule_at`] with the world as the
+//! sink and the slab slot as the token: a timer wheel entry, no task, no
+//! allocation), and `deliver` dispatches to the UDP/TCP state machines on
+//! the destination host. Delivery order within a flow is preserved by a
+//! per-flow clamp (netem `reorder` lets a packet escape it), so the
+//! simulated network behaves like a FIFO link with configurable per-class
+//! delay — the same model `tc-netem` imposes.
 
 use std::cell::RefCell;
 use std::net::{IpAddr, SocketAddr};
 use std::rc::Rc;
 use std::time::Duration;
 
-use lazyeye_sim::{schedule_at, with_rng, SimTime};
+use lazyeye_sim::{schedule_at, with_rng, EventSink, SimTime};
 use rand::Rng;
 
 use crate::addr::Family;
@@ -103,6 +105,10 @@ pub(crate) struct World {
     pub delivered: u64,
     /// Packets dropped by loss, blackholes or missing routes.
     pub dropped: u64,
+    /// Packets scheduled for delivery, by event token; `free` lists the
+    /// vacant slots.
+    in_flight: Vec<Option<Packet>>,
+    free: Vec<usize>,
 }
 
 impl World {
@@ -116,7 +122,31 @@ impl World {
             base_delay: Duration::from_micros(200),
             delivered: 0,
             dropped: 0,
+            in_flight: Vec::new(),
+            free: Vec::new(),
         }
+    }
+
+    /// Parks a packet until its delivery event fires; returns its token.
+    fn park(&mut self, pkt: Packet) -> usize {
+        match self.free.pop() {
+            Some(token) => {
+                self.in_flight[token] = Some(pkt);
+                token
+            }
+            None => {
+                self.in_flight.push(Some(pkt));
+                self.in_flight.len() - 1
+            }
+        }
+    }
+
+    /// Takes back the packet parked under `token`.
+    fn unpark(&mut self, token: usize) -> Packet {
+        self.free.push(token);
+        self.in_flight[token]
+            .take()
+            .expect("a delivery event names a parked packet")
     }
 
     pub fn add_host(&mut self, name: &str) -> usize {
@@ -166,76 +196,99 @@ impl World {
     }
 }
 
-pub(crate) type WorldRc = Rc<RefCell<World>>;
+/// The shared world, and the sink of its packets' delivery events.
+pub(crate) struct WorldCell(RefCell<World>);
+
+impl WorldCell {
+    pub fn new(world: World) -> WorldCell {
+        WorldCell(RefCell::new(world))
+    }
+}
+
+impl std::ops::Deref for WorldCell {
+    type Target = RefCell<World>;
+    fn deref(&self) -> &RefCell<World> {
+        &self.0
+    }
+}
+
+impl EventSink for WorldCell {
+    fn fire(self: Rc<Self>, token: usize) {
+        let pkt = self.borrow_mut().unpark(token);
+        deliver(&self, pkt);
+    }
+
+    fn cancel(self: Rc<Self>, token: usize) {
+        let pkt = self.borrow_mut().unpark(token);
+        drop(pkt);
+    }
+}
+
+pub(crate) type WorldRc = Rc<WorldCell>;
 
 /// Transmits `pkt` from `from` through the fabric: captures, shapes,
 /// schedules delivery. Must be called from inside the simulation.
 pub(crate) fn send_packet(world: &WorldRc, from: usize, pkt: Packet) {
-    let mut deliveries: [Option<SimTime>; 2] = [None; 2];
-    {
-        let mut w = world.borrow_mut();
-        w.record(from, Direction::Tx, &pkt);
+    let mut w = world.borrow_mut();
+    w.record(from, Direction::Tx, &pkt);
 
-        let Some(&dst_host) = w.routes.get(&pkt.dst.ip()) else {
-            // Unassigned destination: a natural blackhole. The sender's
-            // capture shows the attempt; nothing ever comes back.
-            w.dropped += 1;
-            return;
-        };
+    let Some(&dst_host) = w.routes.get(&pkt.dst.ip()) else {
+        // Unassigned destination: a natural blackhole. The sender's
+        // capture shows the attempt; nothing ever comes back.
+        w.dropped += 1;
+        return;
+    };
 
-        // Combine sender egress + receiver ingress effects.
-        let egress = first_match(&w.hosts[from].egress, &pkt);
-        let ingress = first_match(&w.hosts[dst_host].ingress, &pkt);
-        let mut delay = w.base_delay;
-        let mut loss = 0.0f64;
-        let mut dup = 0.0f64;
-        let mut reorder = 0.0f64;
-        for eff in [egress, ingress].into_iter().flatten() {
-            delay += sample_delay(&eff);
-            loss = 1.0 - (1.0 - loss) * (1.0 - eff.loss);
-            dup = dup.max(eff.duplicate);
-            reorder = reorder.max(eff.reorder);
-        }
-
-        let now = lazyeye_sim::now();
-        let mut at = now + delay;
-
-        // In-order delivery within a flow unless reordering is allowed.
-        // The clamp is updated even for lost packets: a dropped packet
-        // occupied its place in the queue.
-        let flow: FlowKey = (pkt.src, pkt.dst, pkt.proto);
-        let escaped = reorder > 0.0 && with_rng(|r| r.gen::<f64>()) < reorder;
-        if !escaped {
-            if let Some(&last) = w.flows.get(&flow) {
-                at = at.max(last);
-            }
-            w.flows.insert(flow, at);
-        }
-
-        // Loss applies to packets whose protocols carry their own recovery:
-        // TCP handshake packets (the client retransmits SYNs) and UDP
-        // datagrams (applications retry). Stream data is delivered reliably
-        // — the measured phenomena live in handshakes and DNS, not in bulk
-        // transfer (see crate docs).
-        let lossable = pkt.kind.is_handshake() || pkt.proto == Proto::Udp;
-        let dropped = lossable && loss > 0.0 && with_rng(|r| r.gen::<f64>()) < loss;
-        if dropped {
-            w.dropped += 1;
-        } else {
-            deliveries[0] = Some(at);
-            if dup > 0.0 && with_rng(|r| r.gen::<f64>()) < dup {
-                deliveries[1] = Some(at + Duration::from_micros(1));
-            }
-        }
+    // Combine sender egress + receiver ingress effects.
+    let egress = first_match(&w.hosts[from].egress, &pkt);
+    let ingress = first_match(&w.hosts[dst_host].ingress, &pkt);
+    let mut delay = w.base_delay;
+    let mut loss = 0.0f64;
+    let mut dup = 0.0f64;
+    let mut reorder = 0.0f64;
+    for eff in [egress, ingress].into_iter().flatten() {
+        delay += sample_delay(&eff);
+        loss = 1.0 - (1.0 - loss) * (1.0 - eff.loss);
+        dup = dup.max(eff.duplicate);
+        reorder = reorder.max(eff.reorder);
     }
 
-    // One delivery event per surviving copy: the most frequent work item
-    // in the whole simulator, so it costs a wheel entry, not a task.
-    for at in deliveries.into_iter().flatten() {
-        let world = Rc::clone(world);
-        let pkt = pkt.clone();
-        schedule_at(at, move || deliver(&world, pkt));
+    let now = lazyeye_sim::now();
+    let mut at = now + delay;
+
+    // In-order delivery within a flow unless reordering is allowed.
+    // The clamp is updated even for lost packets: a dropped packet
+    // occupied its place in the queue.
+    let flow: FlowKey = (pkt.src, pkt.dst, pkt.proto);
+    let escaped = reorder > 0.0 && with_rng(|r| r.gen::<f64>()) < reorder;
+    if !escaped {
+        if let Some(&last) = w.flows.get(&flow) {
+            at = at.max(last);
+        }
+        w.flows.insert(flow, at);
     }
+
+    // Loss applies to packets whose protocols carry their own recovery:
+    // TCP handshake packets (the client retransmits SYNs) and UDP
+    // datagrams (applications retry). Stream data is delivered reliably
+    // — the measured phenomena live in handshakes and DNS, not in bulk
+    // transfer (see crate docs).
+    let lossable = pkt.kind.is_handshake() || pkt.proto == Proto::Udp;
+    let dropped = lossable && loss > 0.0 && with_rng(|r| r.gen::<f64>()) < loss;
+    if dropped {
+        w.dropped += 1;
+        return;
+    }
+    // One delivery event per surviving copy: the most frequent work
+    // item in the whole simulator, so it costs a wheel entry and a
+    // slab slot, not a task or an allocation.
+    if dup > 0.0 && with_rng(|r| r.gen::<f64>()) < dup {
+        let token = w.park(pkt.clone());
+        schedule_at(at, world.clone(), token);
+        at += Duration::from_micros(1);
+    }
+    let token = w.park(pkt);
+    schedule_at(at, world.clone(), token);
 }
 
 fn sample_delay(eff: &Netem) -> Duration {

@@ -7,7 +7,6 @@ use std::net::{IpAddr, SocketAddr};
 use std::rc::Rc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use lazyeye_dns::{Message, Name, RData, Rcode, Record, RrType};
 use lazyeye_net::{Family, Host};
 use lazyeye_sim::{now, timeout, with_rng};
@@ -435,7 +434,7 @@ impl RecursiveResolver {
             return None;
         };
         let dst = SocketAddr::new(server, 53);
-        sock.send_to(Bytes::from(q.encode()), dst).ok()?;
+        sock.send_to(q.to_bytes(), dst).ok()?;
         let recv = async {
             loop {
                 let (payload, src) = sock.recv_from().await.ok()?;

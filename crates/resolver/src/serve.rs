@@ -2,7 +2,6 @@
 
 use std::rc::Rc;
 
-use bytes::Bytes;
 use lazyeye_dns::{Message, Rcode};
 use lazyeye_net::UdpSocket;
 use lazyeye_sim::spawn;
@@ -42,7 +41,7 @@ pub async fn serve_recursive(sock: UdpSocket, resolver: Rc<RecursiveResolver>) {
                 Err(_) => Message::response_to(&query, Rcode::ServFail, false),
             };
             resp.header.ra = true;
-            let _ = sock.send_to(Bytes::from(resp.encode()), src);
+            let _ = sock.send_to(resp.to_bytes(), src);
         });
     }
 }

@@ -11,7 +11,6 @@ use std::net::SocketAddr;
 use std::rc::Rc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use lazyeye_dns::{Message, Name, Rcode, Record, RrType};
 use lazyeye_net::Host;
 use lazyeye_sim::sync::mpsc;
@@ -112,7 +111,7 @@ impl StubResolver {
     pub async fn query_one(&self, name: &Name, qtype: RrType) -> DnsAnswer {
         let id = self.fresh_id();
         let q = Message::query(id, name.clone(), qtype);
-        let wire = Bytes::from(q.encode());
+        let wire = q.to_bytes();
 
         let total_attempts = 1 + self.cfg.retries;
         for attempt in 0..total_attempts {

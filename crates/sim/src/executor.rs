@@ -14,11 +14,16 @@
 //!   `(deadline, seq, target)` records, where the target is a task id or
 //!   an event id. The old binary heap cloned a `Waker` (an `Arc` bump +
 //!   16 bytes) per armed timer; the wheel wakes tasks by id. Each task's
-//!   `Waker` is built once at spawn and lent to every poll.
-//! * **Events** — [`SimHandle::schedule_at`] runs a plain `FnOnce` at a
-//!   virtual instant: no boxed future, no waker, no slab slot, no poll.
-//!   It replaces the `spawn(async { sleep_until(at).await; f() })` task
-//!   (the simulator's packet deliveries) step for step. The event takes
+//!   `Waker` is built once at spawn and lent to every poll, and a freed
+//!   slot keeps it for its next task: a spawn on a recycled slot reuses
+//!   the waker unless a clone of it outlived the previous task, so it
+//!   costs the future's box and nothing else.
+//! * **Events** — [`SimHandle::schedule_at`] hands a token to an
+//!   [`EventSink`] at a virtual instant: no boxed future or callback, no
+//!   waker, no slab slot, no poll, no allocation. It replaces the
+//!   `spawn(async { sleep_until(at).await; f() })` task (the simulator's
+//!   packet deliveries, whose sink owns the packets in flight) step for
+//!   step. The event takes
 //!   the task's place in the ready queue to *arm* its wheel entry, so the
 //!   entry gets the `(deadline, seq)` the task's first poll would have
 //!   registered. When the wheel pops it, it *fires* at once: the wheel only
@@ -47,7 +52,7 @@ use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
@@ -265,22 +270,28 @@ fn lock(wake: &Mutex<WakeQueue>) -> MutexGuard<'_, WakeQueue> {
 }
 
 /// Waker implementation: waking re-queues the task on its wake queue. One
-/// of these is allocated per *task* at spawn; timers don't touch it at
-/// all (the wheel stores bare [`TaskId`]s). It doubles as the task's
-/// abort flag so a spawn costs one shared allocation, not two.
+/// of these belongs to each slab slot and serves its tasks in turn (see
+/// [`Slab::alloc`]); timers don't touch it at all (the wheel stores bare
+/// [`TaskId`]s). It doubles as the task's abort flag so a spawn costs one
+/// shared allocation, not two, and none on a recycled slot.
 struct TaskWaker {
-    id: TaskId,
+    /// The packed [`TaskId`] of the task this waker currently serves.
+    id: AtomicU64,
     wake: Weak<Mutex<WakeQueue>>,
     abort: AtomicBool,
 }
 
 impl TaskWaker {
+    fn id(&self) -> TaskId {
+        TaskId(self.id.load(Ordering::Relaxed))
+    }
+
     /// Sets the abort flag and schedules the task so the executor drops
     /// its future promptly.
     fn abort(&self) {
         self.abort.store(true, Ordering::Relaxed);
         if let Some(wake) = self.wake.upgrade() {
-            lock(&wake).enqueue(self.id);
+            lock(&wake).enqueue(self.id());
         }
     }
 }
@@ -291,7 +302,7 @@ impl Wake for TaskWaker {
     }
     fn wake_by_ref(self: &Arc<Self>) {
         if let Some(wake) = self.wake.upgrade() {
-            lock(&wake).enqueue(self.id);
+            lock(&wake).enqueue(self.id());
         }
     }
 }
@@ -302,15 +313,47 @@ impl Wake for TaskWaker {
 
 struct TaskEntry {
     fut: BoxFuture,
-    /// The task's pooled waker state (id + wake queue + abort flag).
+    /// The slot's waker, lent to this task.
+    waker: SlotWaker,
+}
+
+/// A slot's waker state: the shared [`TaskWaker`] (id + wake queue +
+/// abort flag) and the same `Arc` as a `Waker`, built once and lent to
+/// every poll; primitives that park a task clone it (an `Arc` bump).
+struct SlotWaker {
     tw: Arc<TaskWaker>,
-    /// `tw` as a `Waker`, built once at spawn and lent to every poll;
-    /// primitives that park the task clone it (an `Arc` bump).
     waker: Waker,
 }
 
+impl SlotWaker {
+    fn new(id: TaskId, wake: &SharedWake) -> SlotWaker {
+        let tw = Arc::new(TaskWaker {
+            id: AtomicU64::new(id.0),
+            wake: Arc::downgrade(wake),
+            abort: AtomicBool::new(false),
+        });
+        let waker = Waker::from(Arc::clone(&tw));
+        SlotWaker { tw, waker }
+    }
+
+    /// Hands the waker to the slot's next task, or `None` when a clone
+    /// escaped its last one (a parked `Waker` or a `JoinHandle` still
+    /// alive): that clone must keep naming the old, now stale, id. With
+    /// only the slot's own two references left nobody can observe the
+    /// switch.
+    fn recycle(self, id: TaskId) -> Option<SlotWaker> {
+        if Arc::strong_count(&self.tw) != 2 {
+            return None;
+        }
+        self.tw.id.store(id.0, Ordering::Relaxed);
+        self.tw.abort.store(false, Ordering::Relaxed);
+        Some(self)
+    }
+}
+
 enum SlotState {
-    Vacant,
+    /// Free; keeps the last task's waker for the next one.
+    Vacant(Option<SlotWaker>),
     /// The entry is out being polled; the slot keeps its generation so
     /// re-entrant wakes still target a live task.
     Polling,
@@ -338,22 +381,34 @@ impl Slab {
         }
     }
 
-    /// Reserves a slot and builds its entry from the resulting id.
-    /// Returns the id and whether the slot was recycled.
-    fn alloc(&mut self, make: impl FnOnce(TaskId) -> TaskEntry) -> (TaskId, bool) {
+    /// Reserves a slot for `fut`, reusing the slot's waker when it can
+    /// (see [`SlotWaker::recycle`]). Returns the new id, the task's
+    /// waker state and whether the slot was recycled.
+    fn alloc(&mut self, fut: BoxFuture, wake: &SharedWake) -> (TaskId, Arc<TaskWaker>, bool) {
         self.live += 1;
         if let Some(slot) = self.free.pop() {
-            let id = TaskId::pack(slot, self.slots[slot as usize].generation);
-            self.slots[slot as usize].state = SlotState::Occupied(make(id));
-            (id, true)
+            let entry = &mut self.slots[slot as usize];
+            let id = TaskId::pack(slot, entry.generation);
+            let spare = match std::mem::replace(&mut entry.state, SlotState::Polling) {
+                SlotState::Vacant(spare) => spare,
+                _ => unreachable!("free-listed slots are vacant"),
+            };
+            let waker = spare
+                .and_then(|w| w.recycle(id))
+                .unwrap_or_else(|| SlotWaker::new(id, wake));
+            let tw = Arc::clone(&waker.tw);
+            entry.state = SlotState::Occupied(TaskEntry { fut, waker });
+            (id, tw, true)
         } else {
             let slot = u32::try_from(self.slots.len()).expect("task slab exceeds u32 slots");
             let id = TaskId::pack(slot, 0);
+            let waker = SlotWaker::new(id, wake);
+            let tw = Arc::clone(&waker.tw);
             self.slots.push(Slot {
                 generation: 0,
-                state: SlotState::Occupied(make(id)),
+                state: SlotState::Occupied(TaskEntry { fut, waker }),
             });
-            (id, false)
+            (id, tw, false)
         }
     }
 
@@ -387,33 +442,38 @@ impl Slab {
 
     /// Frees the slot of a finished/aborted task: generation bump + free
     /// list push, so stale timers and wakers can never reach a successor.
-    fn free_after_poll(&mut self, id: TaskId) {
+    /// The slot keeps the task's waker; the future goes back to the
+    /// caller, to be dropped outside the core borrow.
+    fn free_after_poll(&mut self, id: TaskId, entry: TaskEntry) -> BoxFuture {
         let slot = &mut self.slots[id.slot()];
         debug_assert!(matches!(slot.state, SlotState::Polling));
-        slot.state = SlotState::Vacant;
+        slot.state = SlotState::Vacant(Some(entry.waker));
         slot.generation = slot.generation.wrapping_add(1);
         self.free.push(id.slot() as u32);
         self.live -= 1;
+        entry.fut
     }
 
     fn live_count(&self) -> usize {
         self.live
     }
 
-    /// Pulls every live entry out (freeing its slot), for cancellation
-    /// drops during [`Sim::reset`]. Keeps all allocations.
-    fn drain_entries(&mut self) -> Vec<TaskEntry> {
+    /// Pulls every live future out (freeing its slot, which keeps the
+    /// waker), for cancellation drops during [`Sim::reset`]. Keeps all
+    /// allocations.
+    fn drain_entries(&mut self) -> Vec<BoxFuture> {
         let mut out = Vec::new();
         for (i, slot) in self.slots.iter_mut().enumerate() {
             if matches!(slot.state, SlotState::Occupied(_)) {
                 let SlotState::Occupied(entry) =
-                    std::mem::replace(&mut slot.state, SlotState::Vacant)
+                    std::mem::replace(&mut slot.state, SlotState::Vacant(None))
                 else {
                     unreachable!()
                 };
+                slot.state = SlotState::Vacant(Some(entry.waker));
                 slot.generation = slot.generation.wrapping_add(1);
                 self.free.push(i as u32);
-                out.push(entry);
+                out.push(entry.fut);
             }
         }
         self.live -= out.len();
@@ -421,10 +481,26 @@ impl Slab {
     }
 }
 
-/// A callback scheduled with [`SimHandle::schedule_at`].
+/// The receiver of events scheduled with [`SimHandle::schedule_at`]:
+/// the event's payload lives with the sink, named by a token the sink
+/// chose, so scheduling one allocates nothing (a packet delivery's sink
+/// is the network, and its token a slot of the network's in-flight
+/// packets).
+pub trait EventSink {
+    /// Runs the event `token` at its instant. It runs outside any task,
+    /// so it may spawn, schedule and wake, but not arm timers itself.
+    fn fire(self: Rc<Self>, token: usize);
+
+    /// Drops the pending event `token` without running it: a
+    /// [`Sim::reset`] cancels what the finished run left scheduled.
+    fn cancel(self: Rc<Self>, token: usize);
+}
+
+/// An event scheduled with [`SimHandle::schedule_at`].
 struct Event {
     at: SimTime,
-    fire: Box<dyn FnOnce()>,
+    sink: Rc<dyn EventSink>,
+    token: usize,
 }
 
 /// Free-list store of pending events, indexed by [`Target::Event`] ids.
@@ -462,7 +538,7 @@ impl Events {
             .expect("a wheel entry names a pending event")
     }
 
-    /// Pulls every pending event out, for cancellation drops during
+    /// Pulls every pending event out, for cancellation during
     /// [`Sim::reset`]. Keeps all allocations.
     fn drain(&mut self) -> Vec<Event> {
         let mut out = Vec::new();
@@ -681,7 +757,7 @@ impl Sim {
     /// the per-sim counters flush into [`sim_stats`] first.
     ///
     /// Live tasks are cancelled by dropping their futures, and pending
-    /// events by dropping their callbacks (inside the sim context, so
+    /// events through [`EventSink::cancel`] (inside the sim context, so
     /// graceful-close drop paths still work); anything those drops spawn,
     /// schedule or wake is discarded with them.
     pub fn reset(&mut self, seed: u64) {
@@ -691,15 +767,17 @@ impl Sim {
             // quiet.
             let _g = enter(self.handle.clone());
             loop {
-                let (entries, events) = {
+                let (futures, events) = {
                     let mut core = self.handle.core.borrow_mut();
                     (core.slab.drain_entries(), core.events.drain())
                 };
-                if entries.is_empty() && events.is_empty() {
+                if futures.is_empty() && events.is_empty() {
                     break;
                 }
-                drop(entries);
-                drop(events);
+                drop(futures);
+                for event in events {
+                    event.sink.cancel(event.token);
+                }
             }
         }
         let mut core = self.handle.core.borrow_mut();
@@ -849,11 +927,11 @@ impl Sim {
                             }
                         }
                         Target::Event(event) => {
-                            let event = core.events.take(event);
+                            let Event { sink, token, .. } = core.events.take(event);
                             drop(core);
-                            // Outside the core borrow: the callback
-                            // spawns, schedules and wakes freely.
-                            (event.fire)();
+                            // Outside the core borrow: the sink spawns,
+                            // schedules and wakes freely.
+                            sink.fire(token);
                         }
                     }
                 }
@@ -878,18 +956,18 @@ impl Sim {
         let Some(mut entry) = core.slab.begin_poll(id) else {
             return; // stale id or vacant slot
         };
-        if entry.tw.abort.load(Ordering::Relaxed) {
-            core.slab.free_after_poll(id);
+        if entry.waker.tw.abort.load(Ordering::Relaxed) {
+            let fut = core.slab.free_after_poll(id, entry);
             drop(core);
             // Dropping the future cancels everything it owns.
-            drop(entry);
+            drop(fut);
             return;
         }
         core.polls += 1;
         core.current_task = Some(id);
         drop(core);
         let poll = {
-            let mut cx = Context::from_waker(&entry.waker);
+            let mut cx = Context::from_waker(&entry.waker.waker);
             entry.fut.as_mut().poll(&mut cx)
         };
         let mut core = self.handle.core.borrow_mut();
@@ -897,11 +975,11 @@ impl Sim {
         if poll.is_pending() {
             core.slab.end_poll_pending(id, entry);
         } else {
-            core.slab.free_after_poll(id);
+            let fut = core.slab.free_after_poll(id, entry);
             drop(core);
             // Drop the finished future outside the core borrow: its drop
             // may spawn or wake re-entrantly.
-            drop(entry);
+            drop(fut);
         }
     }
 
@@ -976,18 +1054,7 @@ impl SimHandle {
     /// the task's pooled waker.
     fn insert_task(&self, fut: BoxFuture) -> Arc<TaskWaker> {
         let mut core = self.core.borrow_mut();
-        let wake = Arc::downgrade(&self.wake);
-        let mut handle = None;
-        let (id, reused) = core.slab.alloc(|id| {
-            let tw = Arc::new(TaskWaker {
-                id,
-                wake,
-                abort: AtomicBool::new(false),
-            });
-            handle = Some(Arc::clone(&tw));
-            let waker = Waker::from(Arc::clone(&tw));
-            TaskEntry { fut, tw, waker }
-        });
+        let (id, tw, reused) = core.slab.alloc(fut, &self.wake);
         core.tasks_spawned += 1;
         core.trace_instant("task.spawn");
         if reused {
@@ -998,21 +1065,18 @@ impl SimHandle {
         drop(core);
         // Immediately runnable.
         lock(&self.wake).enqueue(id);
-        handle.expect("alloc ran the constructor")
+        tw
     }
 
-    /// Schedules `f` to run at virtual instant `at` (clamped to the
-    /// instant its arm step runs). The cheap path for the simulator's
-    /// packet deliveries: it costs one wheel entry and no task, and runs
-    /// in exactly the order `spawn_detached(async { sleep_until(at).await;
-    /// f() })` would — see the module docs. `f` runs outside any task, so
-    /// it may not arm timers itself.
-    pub fn schedule_at(&self, at: SimTime, f: impl FnOnce() + 'static) {
+    /// Schedules `sink.fire(token)` at virtual instant `at` (clamped to
+    /// the instant its arm step runs). The cheap path for the simulator's
+    /// packet deliveries: it costs one wheel entry, no task and no
+    /// allocation, and runs in exactly the order
+    /// `spawn_detached(async { sleep_until(at).await; fire() })` would —
+    /// see the module docs.
+    pub fn schedule_at(&self, at: SimTime, sink: Rc<dyn EventSink>, token: usize) {
         let mut core = self.core.borrow_mut();
-        let id = core.events.insert(Event {
-            at,
-            fire: Box::new(f),
-        });
+        let id = core.events.insert(Event { at, sink, token });
         core.events_scheduled += 1;
         core.trace_instant("event.schedule");
         drop(core);
@@ -1155,7 +1219,7 @@ pub struct JoinHandle<T> {
 impl<T> JoinHandle<T> {
     /// The task's id (diagnostics).
     pub fn id(&self) -> TaskId {
-        self.tw.id
+        self.tw.id()
     }
 
     /// Requests cancellation: the task's future is dropped before its next
@@ -1221,10 +1285,10 @@ where
     with_current(|h| h.spawn_detached(fut))
 }
 
-/// Runs `f` at virtual instant `at` on the current simulation. See
-/// [`SimHandle::schedule_at`].
-pub fn schedule_at(at: SimTime, f: impl FnOnce() + 'static) {
-    with_current(|h| h.schedule_at(at, f))
+/// Runs `sink.fire(token)` at virtual instant `at` on the current
+/// simulation. See [`SimHandle::schedule_at`].
+pub fn schedule_at(at: SimTime, sink: Rc<dyn EventSink>, token: usize) {
+    with_current(|h| h.schedule_at(at, sink, token))
 }
 
 /// Current virtual time of the running simulation.
@@ -1565,10 +1629,43 @@ mod tests {
 
     type Log = std::rc::Rc<RefCell<Vec<(u64, String)>>>;
 
+    type Callback = Box<dyn FnOnce()>;
+
+    /// A test sink whose events are closures, by token.
+    #[derive(Default)]
+    struct Closures(RefCell<Vec<Option<Callback>>>);
+
+    impl EventSink for Closures {
+        fn fire(self: Rc<Self>, token: usize) {
+            let f = self.0.borrow_mut()[token].take().expect("fires once");
+            f();
+        }
+
+        fn cancel(self: Rc<Self>, token: usize) {
+            let f = self.0.borrow_mut()[token].take();
+            drop(f);
+        }
+    }
+
+    thread_local! {
+        static CLOSURES: Rc<Closures> = Rc::default();
+    }
+
+    /// Schedules `f` at `at` through the thread's closure sink.
+    fn schedule_fn(at: SimTime, f: impl FnOnce() + 'static) {
+        let sink = CLOSURES.with(Rc::clone);
+        let token = {
+            let mut slots = sink.0.borrow_mut();
+            slots.push(Some(Box::new(f)));
+            slots.len() - 1
+        };
+        schedule_at(at, sink, token);
+    }
+
     /// Runs `f` at `at` as an event, or as the task form events replace.
     fn run_at(events: bool, at: SimTime, f: impl FnOnce() + 'static) {
         if events {
-            schedule_at(at, f);
+            schedule_fn(at, f);
         } else {
             spawn_detached(async move {
                 crate::timer::sleep_until(at).await;
@@ -1646,13 +1743,13 @@ mod tests {
                 note(&l, "A".into());
             });
             let l = log.clone();
-            schedule_at(at, move || {
+            schedule_fn(at, move || {
                 note(&l, "event".into());
                 // Scheduled from inside an event, at its own instant: it
                 // arms before B runs, so it fires ahead of C, whose timer
                 // B arms later.
                 let l2 = l.clone();
-                schedule_at(now(), move || note(&l2, "nested".into()));
+                schedule_fn(now(), move || note(&l2, "nested".into()));
             });
             let l = log.clone();
             spawn(async move {
@@ -1683,7 +1780,7 @@ mod tests {
     fn leave_pending_events(sim: &mut Sim, drops: &std::rc::Rc<RefCell<Vec<bool>>>) {
         let armed = DropProbe(drops.clone());
         sim.enter(|| {
-            schedule_at(SimTime::from_secs(100), move || {
+            schedule_fn(SimTime::from_secs(100), move || {
                 drop(armed);
                 panic!("a reset must drop pending events");
             })
@@ -1691,7 +1788,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         let unarmed = DropProbe(drops.clone());
         sim.enter(|| {
-            schedule_at(SimTime::from_secs(2), move || {
+            schedule_fn(SimTime::from_secs(2), move || {
                 drop(unarmed);
                 panic!("a reset must drop pending events");
             })

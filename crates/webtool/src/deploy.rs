@@ -3,9 +3,12 @@
 //! dedicated domain, IPv6 shaped per tier, and HTTP endpoints that return
 //! the client's source address.
 
+use std::io::Write;
 use std::net::{IpAddr, SocketAddr};
 use std::rc::Rc;
+use std::sync::OnceLock;
 
+use bytes::Bytes;
 use lazyeye_authns::{serve as serve_dns, AuthConfig, AuthServer, TestDomain};
 use lazyeye_clients::http::{serve_http, Handler, HttpRequest, HttpResponse};
 use lazyeye_dns::{Name, Zone, ZoneSet};
@@ -78,11 +81,72 @@ pub fn rd_apex() -> Name {
     Name::parse("rd.wt.test").unwrap()
 }
 
+/// What every deployment shares: the tier layout, the zone and the RD
+/// test domain. Built once per process and cloned per session (as
+/// `testbed::default_zone` is), since none of it depends on the session.
+pub(crate) struct Layout {
+    /// Per-tier (delay_ms, v4 address, v6 address, domain).
+    pub tiers: Vec<(u64, IpAddr, IpAddr, Name)>,
+    zones: ZoneSet,
+    rd_domain: TestDomain,
+}
+
+pub(crate) fn layout() -> &'static Layout {
+    static LAYOUT: OnceLock<Layout> = OnceLock::new();
+    LAYOUT.get_or_init(|| {
+        let tiers: Vec<_> = TIERS_MS
+            .iter()
+            .enumerate()
+            .map(|(i, &ms)| (ms, tier_v4(i), tier_v6(i), tier_domain(ms)))
+            .collect();
+        let mut zone = Zone::new(Name::parse("wt.test").unwrap());
+        for (_, v4, v6, domain) in &tiers {
+            let (IpAddr::V4(v4), IpAddr::V6(v6)) = (*v4, *v6) else {
+                unreachable!()
+            };
+            zone.a(domain, v4, 60);
+            zone.aaaa(domain, v6, 60);
+        }
+        let mut zones = ZoneSet::new();
+        zones.add(zone);
+        let rd_domain = TestDomain {
+            apex: rd_apex(),
+            v4: match tiers[0].1 {
+                IpAddr::V4(a) => vec![a],
+                _ => unreachable!(),
+            },
+            v6: match tiers[0].2 {
+                IpAddr::V6(a) => vec![a],
+                _ => unreachable!(),
+            },
+            ttl: 60,
+        };
+        Layout {
+            tiers,
+            zones,
+            rd_domain,
+        }
+    })
+}
+
+/// Answers `/ip` with the peer's address: printed on the stack and copied
+/// once into the body.
+fn echo_ip(peer: SocketAddr) -> HttpResponse {
+    let mut buf = [0u8; 64];
+    let len = {
+        let mut out = &mut buf[..];
+        write!(out, "{}", peer.ip()).expect("an IP address fits in 64 bytes");
+        64 - out.len()
+    };
+    HttpResponse::ok(Bytes::copy_from_slice(&buf[..len]))
+}
+
 /// Deploys the web tool: DNS for every tier domain, shaped per-address
 /// IPv6 delays, HTTP on every address answering `/ip` with the source
 /// address, and the RD test domain (parameter-encoded names resolving to
 /// the tier-0 addresses).
 pub fn deploy(seed: u64, conditions: WebConditions) -> WebToolDeployment {
+    let layout = layout();
     let sim = lazyeye_sim::pooled(seed);
     let net = Network::new();
 
@@ -90,8 +154,8 @@ pub fn deploy(seed: u64, conditions: WebConditions) -> WebToolDeployment {
         .host("webtool")
         .v4("198.51.100.53")
         .v6("2001:db8:77::53");
-    for i in 0..TIERS_MS.len() {
-        server_builder = server_builder.addr(tier_v4(i)).addr(tier_v6(i));
+    for &(_, v4, v6, _) in &layout.tiers {
+        server_builder = server_builder.addr(v4).addr(v6);
     }
     let server = server_builder.build();
     let client = net
@@ -109,57 +173,30 @@ pub fn deploy(seed: u64, conditions: WebConditions) -> WebToolDeployment {
     ));
 
     // Per-tier IPv6 shaping: delay traffic *from* the tier's v6 address.
-    for (i, &ms) in TIERS_MS.iter().enumerate() {
+    for &(ms, _, v6, _) in &layout.tiers {
         if ms > 0 {
             server.add_egress(
                 NetemRule::family(lazyeye_net::Family::V6, Netem::delay_ms(ms))
-                    .with_src(IpPrefix::host(tier_v6(i))),
+                    .with_src(IpPrefix::host(v6)),
             );
         }
     }
 
     // DNS: one domain per tier + the RD test domain.
-    let mut zone = Zone::new(Name::parse("wt.test").unwrap());
-    let mut tiers = Vec::new();
-    for (i, &ms) in TIERS_MS.iter().enumerate() {
-        let domain = tier_domain(ms);
-        let (IpAddr::V4(v4), IpAddr::V6(v6)) = (tier_v4(i), tier_v6(i)) else {
-            unreachable!()
-        };
-        zone.a(&domain, v4, 60);
-        zone.aaaa(&domain, v6, 60);
-        tiers.push((ms, tier_v4(i), tier_v6(i), domain));
-    }
-    let mut zones = ZoneSet::new();
-    zones.add(zone);
     let auth = AuthServer::new(AuthConfig {
-        zones,
-        test_domains: vec![TestDomain {
-            apex: rd_apex(),
-            v4: match tier_v4(0) {
-                IpAddr::V4(a) => vec![a],
-                _ => unreachable!(),
-            },
-            v6: match tier_v6(0) {
-                IpAddr::V6(a) => vec![a],
-                _ => unreachable!(),
-            },
-            ttl: 60,
-        }],
+        zones: layout.zones.clone(),
+        test_domains: vec![layout.rd_domain.clone()],
         ..AuthConfig::default()
     });
 
     sim.enter(|| {
         spawn_detached(serve_dns(server.udp_bind_any(53).unwrap(), auth));
         let listener = server.tcp_listen_any(80).unwrap();
-        let handler: Handler =
-            Rc::new(
-                |req: &HttpRequest, peer: SocketAddr| match req.path.as_str() {
-                    "/ip" => HttpResponse::ok(format!("{}", peer.ip())),
-                    "/ua" => HttpResponse::ok(req.header("user-agent").unwrap_or("").to_string()),
-                    _ => HttpResponse::not_found(),
-                },
-            );
+        let handler: Handler = Rc::new(|req: &HttpRequest, peer: SocketAddr| match req.path() {
+            "/ip" => echo_ip(peer),
+            "/ua" => HttpResponse::ok(req.header("user-agent").unwrap_or("").to_string()),
+            _ => HttpResponse::not_found(),
+        });
         spawn(serve_http(listener, handler));
     });
 
@@ -168,7 +205,7 @@ pub fn deploy(seed: u64, conditions: WebConditions) -> WebToolDeployment {
         net,
         server,
         client,
-        tiers,
+        tiers: layout.tiers.clone(),
     }
 }
 

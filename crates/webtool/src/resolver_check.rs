@@ -8,8 +8,9 @@
 //! resolution; capable resolvers answer. The user's browser only needs to
 //! fetch one name and look at the outcome.
 
-use std::net::IpAddr;
+use std::net::{IpAddr, SocketAddr};
 use std::rc::Rc;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use lazyeye_authns::{serve as serve_dns, AuthConfig, AuthServer};
@@ -39,6 +40,53 @@ pub enum ResolverStack {
     DualStack,
     /// IPv4-only resolver host (the paper's four excluded services).
     V4Only,
+}
+
+/// What every check shares: the root zone delegating the check zone with
+/// only AAAA glue, the check zone, the resolver's root hints and the
+/// names the check asks and looks for. Built once per process and cloned
+/// per check.
+struct CheckSetup {
+    root_zones: ZoneSet,
+    zones: ZoneSet,
+    roots: Vec<(Name, Vec<IpAddr>)>,
+    resolver: SocketAddr,
+    qname: Name,
+    ns_name: Name,
+}
+
+fn setup() -> &'static CheckSetup {
+    static SETUP: OnceLock<CheckSetup> = OnceLock::new();
+    SETUP.get_or_init(|| {
+        // Root: delegate v6check.test with ONLY AAAA glue.
+        let ns_name = Name::parse("ns1.v6check.test").unwrap();
+        let mut root_zone = Zone::new(Name::root());
+        root_zone.ns(&Name::parse("v6check.test").unwrap(), &ns_name, 3600);
+        root_zone.aaaa(&ns_name, "2001:db8:66::53".parse().unwrap(), 3600);
+        let mut root_zones = ZoneSet::new();
+        root_zones.add(root_zone);
+
+        let qname = Name::parse("www.v6check.test").unwrap();
+        let mut zone = Zone::new(Name::parse("v6check.test").unwrap());
+        zone.a(&qname, "203.0.113.66".parse().unwrap(), 60);
+        let mut zones = ZoneSet::new();
+        zones.add(zone);
+
+        CheckSetup {
+            root_zones,
+            zones,
+            roots: vec![(
+                Name::parse("ns.root").unwrap(),
+                vec![
+                    "198.41.0.4".parse::<IpAddr>().unwrap(),
+                    "2001:503:ba3e::2:30".parse::<IpAddr>().unwrap(),
+                ],
+            )],
+            resolver: SocketAddr::new("192.0.2.10".parse().unwrap(), 53),
+            qname,
+            ns_name,
+        }
+    })
 }
 
 /// Builds the check topology and runs one resolver check: a user behind a
@@ -74,52 +122,23 @@ pub fn check_resolver(
         .v6("2001:db8::200")
         .build();
 
-    // Root: delegate v6check.test with ONLY AAAA glue.
-    let mut root_zone = Zone::new(Name::root());
-    root_zone.ns(
-        &Name::parse("v6check.test").unwrap(),
-        &Name::parse("ns1.v6check.test").unwrap(),
-        3600,
-    );
-    root_zone.aaaa(
-        &Name::parse("ns1.v6check.test").unwrap(),
-        "2001:db8:66::53".parse().unwrap(),
-        3600,
-    );
-    let mut root_zones = ZoneSet::new();
-    root_zones.add(root_zone);
-
-    let mut zone = Zone::new(Name::parse("v6check.test").unwrap());
-    zone.a(
-        &Name::parse("www.v6check.test").unwrap(),
-        "203.0.113.66".parse().unwrap(),
-        60,
-    );
-    let mut zones = ZoneSet::new();
-    zones.add(zone);
-
+    let setup = setup();
     sim.enter(|| {
         spawn_detached(serve_dns(
             root.udp_bind_any(53).unwrap(),
             AuthServer::new(AuthConfig {
-                zones: root_zones,
+                zones: setup.root_zones.clone(),
                 ..AuthConfig::default()
             }),
         ));
         spawn_detached(serve_dns(
             v6ns.udp_bind_any(53).unwrap(),
             AuthServer::new(AuthConfig {
-                zones,
+                zones: setup.zones.clone(),
                 ..AuthConfig::default()
             }),
         ));
-        let mut rcfg = RecursiveConfig::new(vec![(
-            Name::parse("ns.root").unwrap(),
-            vec![
-                "198.41.0.4".parse::<IpAddr>().unwrap(),
-                "2001:503:ba3e::2:30".parse::<IpAddr>().unwrap(),
-            ],
-        )]);
+        let mut rcfg = RecursiveConfig::new(setup.roots.clone());
         rcfg.policy = policy;
         let resolver = RecursiveResolver::new(resolver_host.clone(), rcfg);
         spawn(serve_recursive(
@@ -131,7 +150,7 @@ pub fn check_resolver(
     let stub = Rc::new(StubResolver::new(
         user,
         StubConfig {
-            servers: vec![std::net::SocketAddr::new("192.0.2.10".parse().unwrap(), 53)],
+            servers: vec![setup.resolver],
             attempt_timeout: Duration::from_secs(3),
             retries: 0,
             ..StubConfig::default()
@@ -141,9 +160,7 @@ pub fn check_resolver(
         let stub = Rc::clone(&stub);
         sim.block_on(async move {
             let t0 = lazyeye_sim::now();
-            let ans = stub
-                .query_one(&Name::parse("www.v6check.test").unwrap(), RrType::A)
-                .await;
+            let ans = stub.query_one(&setup.qname, RrType::A).await;
             (ans.outcome, lazyeye_sim::now() - t0)
         })
     };
@@ -155,7 +172,7 @@ pub fn check_resolver(
     for (i, rec) in root.capture().udp_rx().enumerate() {
         if let Ok(msg) = lazyeye_dns::Message::decode(&rec.payload) {
             if let Some(q) = msg.question() {
-                if q.name == Name::parse("ns1.v6check.test").unwrap() {
+                if q.name == setup.ns_name {
                     match q.qtype {
                         RrType::Aaaa if aaaa_pos.is_none() => aaaa_pos = Some(i),
                         RrType::A if a_pos.is_none() => a_pos = Some(i),

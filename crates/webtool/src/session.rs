@@ -6,11 +6,15 @@
 //! tell which family Happy Eyeballs picked per tier — without resetting
 //! any state between fetches, exactly like the real deployment.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
+
 use lazyeye_authns::{DelayTarget, TestParams};
 use lazyeye_clients::{Client, ClientProfile};
+use lazyeye_dns::Name;
 use lazyeye_net::{Family, Host};
 
-use crate::deploy::{rd_apex, tier_domain, web_resolver_addr, TIERS_MS};
+use crate::deploy::{layout, rd_apex, web_resolver_addr};
 
 /// Per-tier outcome: the family observed in each repetition (None when the
 /// fetch failed).
@@ -119,8 +123,37 @@ fn family_of_response(fetched: &lazyeye_clients::FetchResult) -> Option<Family> 
         .response
         .as_ref()
         .filter(|r| r.status == 200)
-        .and_then(|r| r.text().parse::<std::net::IpAddr>().ok())
+        .and_then(|r| {
+            std::str::from_utf8(&r.body)
+                .ok()?
+                .parse::<std::net::IpAddr>()
+                .ok()
+        })
         .map(Family::of)
+}
+
+/// The parameter-encoded name an RD session fetches for one tier and
+/// repetition. Every RD session fetches the same names, so each thread
+/// builds each one once and clones it after.
+fn rd_qname(delay_ms: u64, delayed: DelayTarget, rep: u32) -> Name {
+    thread_local! {
+        static NAMES: RefCell<HashMap<(u64, DelayTarget, u32), Name>> = RefCell::default();
+    }
+    NAMES.with(|names| {
+        names
+            .borrow_mut()
+            .entry((delay_ms, delayed, rep))
+            .or_insert_with(|| {
+                let params = TestParams::delay(delay_ms, delayed, format!("w{rep}"));
+                Name::parse(&format!(
+                    "{}.{}",
+                    params.to_label(),
+                    rd_apex().to_string().trim_end_matches('.')
+                ))
+                .unwrap()
+            })
+            .clone()
+    })
 }
 
 /// Runs a CAD web session: the client visits every tier domain
@@ -134,7 +167,8 @@ pub async fn cad_session(
 ) -> WebSessionResult {
     let client = Client::new(profile, client_host, vec![web_resolver_addr()]);
     let mut tiers = Vec::new();
-    for &ms in TIERS_MS.iter() {
+    for (ms, _, _, domain) in &layout().tiers {
+        let ms = *ms;
         let mut families = Vec::new();
         let mut fetch_us = Vec::new();
         for _rep in 0..repetitions {
@@ -142,7 +176,7 @@ pub async fn cad_session(
             // does not pin it, but RTT history carries over.
             client.new_page_visit();
             let started_us = lazyeye_sim::now().as_nanos() / 1_000;
-            let fetched = client.fetch(&tier_domain(ms), 80, "/ip").await;
+            let fetched = client.fetch(domain, 80, "/ip").await;
             fetch_us.push(lazyeye_sim::now().as_nanos() / 1_000 - started_us);
             families.push(family_of_response(&fetched));
         }
@@ -165,18 +199,13 @@ pub async fn rd_session(
 ) -> WebSessionResult {
     let client = Client::new(profile, client_host, vec![web_resolver_addr()]);
     let mut tiers = Vec::new();
-    for &ms in TIERS_MS.iter() {
+    for (ms, ..) in &layout().tiers {
+        let ms = *ms;
         let mut families = Vec::new();
         let mut fetch_us = Vec::new();
         for rep in 0..repetitions {
             client.new_page_visit();
-            let params = TestParams::delay(ms, delayed, format!("w{rep}"));
-            let qname = lazyeye_dns::Name::parse(&format!(
-                "{}.{}",
-                params.to_label(),
-                rd_apex().to_string().trim_end_matches('.')
-            ))
-            .unwrap();
+            let qname = rd_qname(ms, delayed, rep);
             let started_us = lazyeye_sim::now().as_nanos() / 1_000;
             let fetched = client.fetch(&qname, 80, "/ip").await;
             fetch_us.push(lazyeye_sim::now().as_nanos() / 1_000 - started_us);
