@@ -16,9 +16,12 @@
 //! | `repro_stall`  | §5.2 — the delayed-A stall and the HEv3-flag fix |
 //! | `repro_all`    | everything above, into `results/` |
 //!
-//! Criterion benches (`cargo bench`) measure the framework itself (DNS
-//! codec, simulator core, HE engine, resolver) and four design ablations
-//! (see `benches/ablations.rs`).
+//! Two test binaries guard the framework itself: `tests/bench_counters.rs`
+//! runs five fixed-seed smoke workloads and compares their work counters
+//! exactly against the checked-in `BENCH.json` (and holds the compiled
+//! fast path to ≥ 2× full simulation), and `tests/ablations.rs` asserts
+//! the virtual-time outcomes of design ablations. Throughput is measured
+//! end to end by `perfbench/`.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -79,101 +82,4 @@ pub fn fast_mode() -> bool {
     std::env::var("LAZYEYE_FAST")
         .map(|v| v == "1")
         .unwrap_or(false)
-}
-
-/// Machine-readable bench output (`BENCH.json`).
-///
-/// Each bench binary contributes one top-level section (`sim`,
-/// `campaign`, `fleet`) holding throughput numbers (`*_per_sec`,
-/// machine-dependent, informational) and a `counters` object (scheduler
-/// polls, timers, tasks, events for a fixed-seed smoke workload — deterministic
-/// across machines and worker counts, pinned by the checked-in baseline
-/// and gated in CI by `bench_check`).
-pub mod bench_json {
-    use lazyeye_json::Json;
-    use std::path::PathBuf;
-
-    /// Where the generated `BENCH.json` goes: `$LAZYEYE_BENCH_JSON`
-    /// (absolute paths recommended — cargo runs benches with the package
-    /// directory as cwd), or `<workspace>/target/BENCH.json` by default.
-    pub fn path() -> PathBuf {
-        if let Ok(p) = std::env::var("LAZYEYE_BENCH_JSON") {
-            return PathBuf::from(p);
-        }
-        PathBuf::from(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/BENCH.json"
-        ))
-    }
-
-    /// Loads the current file (or an empty object), replaces `section`,
-    /// and writes it back pretty-printed.
-    pub fn merge_section(section: &str, value: Json) {
-        let p = path();
-        let mut doc = std::fs::read_to_string(&p)
-            .ok()
-            .and_then(|t| Json::parse(&t).ok())
-            .unwrap_or_else(|| Json::Obj(Vec::new()));
-        if let Json::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "schema" && k != section);
-            pairs.insert(
-                0,
-                ("schema".to_string(), Json::Str("lazyeye-bench/1".into())),
-            );
-            pairs.push((section.to_string(), value));
-        }
-        let mut text = doc.to_string_pretty();
-        text.push('\n');
-        if let Err(e) = std::fs::write(&p, text) {
-            eprintln!("[bench] warning: cannot write {}: {e}", p.display());
-        } else {
-            println!("[bench] wrote section {section:?} to {}", p.display());
-        }
-    }
-
-    /// Zeroes every registered metric before a fixed bench workload, so
-    /// [`counters`] reads a clean per-workload tally.
-    pub fn reset_counters() {
-        lazyeye_obs::registry::reset_all();
-    }
-
-    /// The scheduler-counter object for a section, read straight from
-    /// the `lazyeye-obs` registry (`sim.*` metric names). The poll,
-    /// timer, task and event counters live in the virtual clock domain, so the
-    /// values are deterministic for a fixed-seed workload; the slab-slot
-    /// counters are wall-domain but still fixed at `--jobs 1`, which is
-    /// how every bench emitter runs its pinned workload.
-    pub fn counters() -> Json {
-        use lazyeye_obs::Clock::{Virtual, Wall};
-        Json::obj(vec![
-            (
-                "polls",
-                Json::UInt(lazyeye_obs::counter("sim.polls", Virtual).get()),
-            ),
-            (
-                "timers_armed",
-                Json::UInt(lazyeye_obs::counter("sim.timers_armed", Virtual).get()),
-            ),
-            (
-                "timers_fired",
-                Json::UInt(lazyeye_obs::counter("sim.timers_fired", Virtual).get()),
-            ),
-            (
-                "tasks_spawned",
-                Json::UInt(lazyeye_obs::counter("sim.tasks_spawned", Virtual).get()),
-            ),
-            (
-                "events_scheduled",
-                Json::UInt(lazyeye_obs::counter("sim.events_scheduled", Virtual).get()),
-            ),
-            (
-                "slots_allocated",
-                Json::UInt(lazyeye_obs::counter("sim.slots_allocated", Wall).get()),
-            ),
-            (
-                "slots_reused",
-                Json::UInt(lazyeye_obs::counter("sim.slots_reused", Wall).get()),
-            ),
-        ])
-    }
 }

@@ -6,7 +6,9 @@
 //! await structure mirrors the pre-extraction engine exactly (the same
 //! `race`/`timeout_at` nesting, re-created per wakeup), so both the
 //! `HeLog` traces and the scheduler counters (polls, timers, tasks)
-//! pinned in BENCH.json are byte-identical to the legacy engine.
+//! pinned in `BENCH.json` (and checked by the Tier-1 test
+//! `crates/bench/tests/bench_counters.rs`) are identical to the legacy
+//! engine's.
 
 use std::net::{IpAddr, SocketAddr};
 use std::rc::Rc;

@@ -138,7 +138,7 @@ const RUN_TRACE_EVENT_CAP: u32 = 512;
 /// Process-wide scheduler counters, aggregated across every [`Sim`] as it
 /// is reset or dropped. The poll/timer/task counters are deterministic
 /// for a fixed workload (whatever the worker count), which is what lets
-/// CI pin them in `BENCH.json`.
+/// `BENCH.json` pin them (checked by `crates/bench/tests/bench_counters.rs`).
 ///
 /// This is a compatibility view over the `lazyeye-obs` registry (metric
 /// names `sim.polls`, `sim.timers_fired`, ...); new code should read the
