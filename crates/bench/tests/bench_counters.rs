@@ -183,6 +183,8 @@ fn campaign_section(out: &mut Measured) {
     let report = measured_pass(|| run_campaign(&spec, 1, |_, _| {}).unwrap());
     put(out, "campaign.smoke_total_runs", report.total_runs);
     scheduler_counters(out, "campaign");
+    let shared = lazyeye_obs::counter("campaign.runs_shared", Virtual).get();
+    put(out, "campaign.counters.runs_shared", shared);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 //! The sharded executor: fans campaign runs out across worker threads.
 //!
-//! Each worker owns fresh `Sim` instances per run — the in-process
+//! Each worker owns a fresh `Sim` instance per simulation — the in-process
 //! equivalent of the paper's container reset — so runs are isolated and
 //! their outputs independent of scheduling. The scheduling itself (the
 //! work-stealing pool with index-ordered results) is the shared
 //! [`lazyeye_exec`] layer; this module contributes the campaign-specific
 //! glue: resolving spec ids into profiles once ([`RunContext`]),
-//! driving each fast-path cell once per execution ([`CellMemo`]) and
-//! reducing each run to a small [`RunOutput`] on the worker.
+//! driving each fast-path cell, and simulating each cell whose runs draw
+//! no random number, once per execution ([`CellMemo`]), and reducing
+//! each run to a small [`RunOutput`] on the worker.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
@@ -32,6 +33,8 @@ use crate::spec::CampaignSpec;
 struct CampaignMetrics {
     runs: &'static lazyeye_obs::Counter,
     runs_refined: &'static lazyeye_obs::Counter,
+    /// Runs served a simulated cell's shared outcome without simulating.
+    runs_shared: &'static lazyeye_obs::Counter,
 }
 
 fn metrics() -> &'static CampaignMetrics {
@@ -39,6 +42,7 @@ fn metrics() -> &'static CampaignMetrics {
     METRICS.get_or_init(|| CampaignMetrics {
         runs: lazyeye_obs::counter("campaign.runs", lazyeye_obs::Clock::Virtual),
         runs_refined: lazyeye_obs::counter("campaign.runs_refined", lazyeye_obs::Clock::Virtual),
+        runs_shared: lazyeye_obs::counter("campaign.runs_shared", lazyeye_obs::Clock::Virtual),
     })
 }
 
@@ -196,12 +200,35 @@ enum Model<'c> {
     Rd(&'c RdFastPath),
 }
 
-/// A CAD or RD run's fields bar `rep`: `(client, netem, delayed record,
-/// delay)`, the record `None` for CAD. A fast-path cell is a model at one
-/// delay; the models are seed-free, so every run of a cell — each
-/// repetition, under each netem label with empty rules — has the same
-/// outcome.
-type RunCell<'r> = (&'r str, &'r str, Option<DelayedRecord>, u64);
+/// What a cell's runs measure: CAD, RD delaying one record, or address
+/// selection.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum CellKind {
+    Cad,
+    Rd(DelayedRecord),
+    Selection,
+}
+
+impl CellKind {
+    /// The delayed record keying this kind's fast-path models (`None` for
+    /// CAD), or `None` when no model serves the kind.
+    fn model_record(self) -> Option<Option<DelayedRecord>> {
+        match self {
+            CellKind::Cad => Some(None),
+            CellKind::Rd(record) => Some(Some(record)),
+            CellKind::Selection => None,
+        }
+    }
+}
+
+/// A run's cell, `(kind, client, netem label, delay)`: every field of the
+/// run bar `rep` and the seed (a selection cell's delay is 0). The seed
+/// reaches a simulation only through its RNG, so a run that draws no
+/// random number has its cell's outcome whatever its seed: every
+/// repetition of the cell has the same outcome. Resolver runs have no
+/// cell: a resolver draws the family of its first query, and the run's
+/// zone apex embeds its `rep`.
+type RunCell<'r> = (CellKind, &'r str, &'r str, u64);
 
 fn run_cell(kind: &RunKind) -> Option<RunCell<'_>> {
     match kind {
@@ -210,20 +237,35 @@ fn run_cell(kind: &RunKind) -> Option<RunCell<'_>> {
             netem,
             delay_ms,
             ..
-        } => Some((client, netem, None, *delay_ms)),
+        } => Some((CellKind::Cad, client, netem, *delay_ms)),
         RunKind::Rd {
             client,
             netem,
             record,
             delay_ms,
             ..
-        } => Some((client, netem, Some(*record), *delay_ms)),
-        RunKind::Selection { .. } | RunKind::Resolver { .. } => None,
+        } => Some((CellKind::Rd(*record), client, netem, *delay_ms)),
+        RunKind::Selection { client, netem, .. } => Some((CellKind::Selection, client, netem, 0)),
+        RunKind::Resolver { .. } => None,
     }
 }
 
-/// One cell's model and its outcome, driven by the first run that needs
-/// it.
+/// A cell's outcome, stamped with the repetition of `kind`'s run.
+fn restamp(out: &RunOutput, kind: &RunKind) -> RunOutput {
+    match (out, kind) {
+        (RunOutput::Cad(s), RunKind::Cad { rep, .. }) => {
+            RunOutput::Cad(CadSample { rep: *rep, ..*s })
+        }
+        (RunOutput::Rd(s), RunKind::Rd { rep, .. }) => RunOutput::Rd(RdSample { rep: *rep, ..*s }),
+        (RunOutput::Selection(s), RunKind::Selection { .. }) => RunOutput::Selection(s.clone()),
+        _ => unreachable!("a cell serves only runs of its own kind"),
+    }
+}
+
+/// One fast-path cell — a model at one delay — and its outcome, driven by
+/// the first run that needs it. The models are seed-free, so every run of
+/// the cell, under each netem label with empty rules, has the same
+/// outcome.
 struct FastCell<'c> {
     model: Model<'c>,
     delay_ms: u64,
@@ -252,89 +294,193 @@ impl<'c> FastCell<'c> {
             }
         });
         book_run(outcome);
-        match (outcome, kind) {
-            (Ok(RunOutput::Cad(s)), RunKind::Cad { rep, .. }) => {
-                Ok(RunOutput::Cad(CadSample { rep: *rep, ..*s }))
-            }
-            (Ok(RunOutput::Rd(s)), RunKind::Rd { rep, .. }) => {
-                Ok(RunOutput::Rd(RdSample { rep: *rep, ..*s }))
-            }
-            (Ok(_), _) => unreachable!("a cell serves only runs of its model's kind"),
-            (Err(reason), _) => Err(reason),
+        match outcome {
+            Ok(out) => Ok(restamp(out, kind)),
+            Err(reason) => Err(reason),
         }
     }
 }
 
-/// The fast-path cells of one [`execute_with`] call, shared by every pool
-/// worker: each cell is driven exactly once, whatever the worker count.
-/// It lives for the call, not in the [`RunContext`], so every execution
-/// pays for its own cells.
+/// A cell's simulated outcome, set by the first of its runs to simulate:
+/// `Some` when that run drew no random number, so every run of the cell
+/// shares its output; `None` when it drew, so the driving run keeps its
+/// output and every other run simulates under its own seed.
+#[derive(Default)]
+struct SimCell(OnceLock<Option<Box<RunOutput>>>);
+
+impl SimCell {
+    /// `run`'s output through the cell: shared when the cell's driving
+    /// run drew nothing, else simulated under the run's own seed.
+    fn simulate(&self, ctx: &RunContext, run: &RunSpec) -> RunOutput {
+        let mut drove = false;
+        let mut own = None;
+        let shared = self.0.get_or_init(|| {
+            drove = true;
+            let draws = lazyeye_sim::rng_draws();
+            let out = simulate(ctx, run);
+            if lazyeye_sim::rng_draws() == draws {
+                Some(Box::new(out))
+            } else {
+                own = Some(out);
+                None
+            }
+        });
+        match (shared, own) {
+            (_, Some(out)) => out,
+            (Some(out), None) => {
+                if !drove {
+                    metrics().runs_shared.inc();
+                }
+                restamp(out, &run.kind)
+            }
+            (None, None) => simulate(ctx, run),
+        }
+    }
+}
+
+/// One cell of an [`execute_with`] call.
+struct Cell {
+    /// The fast-path cell serving the cell's runs, as (model, index in
+    /// the model's cells); [`NO_CELL`] when no model serves them.
+    fast: (u32, u32),
+    sim: SimCell,
+}
+
+/// The cells of one [`execute_with`] call, shared by every pool worker:
+/// each fast-path cell is driven once, and each cell simulated once when
+/// its driving run draws nothing, whatever the worker count. It lives
+/// for the call, not in the [`RunContext`], so every execution pays for
+/// its own cells.
 struct CellMemo<'c> {
-    /// Per model, its cells in order of first use. One vector per model
-    /// rather than one for all cells: on a 36k-run campaign the single
-    /// large vector measured 8 MiB more peak RSS for the same work,
-    /// through where the allocator then placed each pass's buffers.
-    cells: Vec<Vec<FastCell<'c>>>,
-    /// Per run position, its cell as (model, index in the model's
-    /// cells); [`NO_CELL`] when no model serves the run.
+    /// Per model, its fast-path cells in order of first use. One vector
+    /// per model rather than one for all cells: on a 36k-run campaign
+    /// the single large vector measured 8 MiB more peak RSS for the same
+    /// work, through where the allocator then placed each pass's
+    /// buffers. A fast-path cell spans the netem labels with empty rules.
+    fast: Vec<Vec<FastCell<'c>>>,
+    /// Per `(kind, client, netem)` group, its cells in order of first
+    /// use, one per delay.
+    cells: Vec<Vec<Cell>>,
+    /// Per run position, its cell as (group, index in the group's
+    /// cells); [`NO_CELL`] for a resolver run.
     cell_of: Vec<(u32, u32)>,
 }
 
 const NO_CELL: (u32, u32) = (u32::MAX, u32::MAX);
 
+/// `len` as a memo index.
+fn index(len: usize) -> u32 {
+    u32::try_from(len).expect("fewer than 2^32 cells")
+}
+
+/// One model's or one group's cells in order of first use, with their
+/// indices by delay.
+struct ByDelay<T> {
+    index: BTreeMap<u64, u32>,
+    cells: Vec<T>,
+}
+
+impl<T> ByDelay<T> {
+    fn new() -> ByDelay<T> {
+        ByDelay {
+            index: BTreeMap::new(),
+            cells: Vec::new(),
+        }
+    }
+
+    /// The index of the cell at `delay_ms`, made by `make` on first use.
+    fn cell(&mut self, delay_ms: u64, make: impl FnOnce() -> T) -> u32 {
+        *self.index.entry(delay_ms).or_insert_with(|| {
+            self.cells.push(make());
+            index(self.cells.len() - 1)
+        })
+    }
+}
+
 impl<'c> CellMemo<'c> {
-    /// Maps every run of `runs` to its cell, so a run finds its model and
-    /// its outcome slot by position alone. Memory grows with the number
-    /// of distinct cells, plus one index per run.
+    /// Maps every run of `runs` to its cell, so a run finds its outcome
+    /// slots by position alone. Memory grows with the number of distinct
+    /// cells, plus one index per run.
     fn new<R: Borrow<RunSpec>>(ctx: &'c RunContext, runs: &[R]) -> CellMemo<'c> {
         // Per (client, record): the number of its model, or `None` when
-        // no model serves it.
+        // no model serves it. Per model number: the model and its cells.
         let mut numbers: HashMap<(&str, Option<DelayedRecord>), Option<u32>> = HashMap::new();
-        // Per model number: the model, its cells' indices by delay, and
-        // its cells.
-        let mut models: Vec<(Model<'c>, BTreeMap<u64, u32>, Vec<FastCell<'c>>)> = Vec::new();
+        let mut models: Vec<(Model<'c>, ByDelay<FastCell<'c>>)> = Vec::new();
+        // Per (kind, client, netem) group: its number. Per group number:
+        // the number of the model serving it, and its cells.
+        let mut group_numbers: HashMap<(CellKind, &str, &str), u32> = HashMap::new();
+        let mut groups: Vec<(Option<u32>, ByDelay<Cell>)> = Vec::new();
         let mut cell_of = Vec::with_capacity(runs.len());
-        // Expansion lists runs grouped by (client, netem, record), and a
-        // cell's repetitions back to back: a run looks up its model only
+        // Expansion lists runs grouped by (kind, client, netem), and a
+        // cell's repetitions back to back: a run looks up its group only
         // where the group changes, and its cell only where the delay does.
-        let mut last: Option<(RunCell<'_>, Option<u32>, (u32, u32))> = None;
+        let mut last: Option<(RunCell<'_>, (u32, u32))> = None;
         for run in runs {
-            let Some(fields @ (client, netem, record, delay_ms)) = run_cell(&run.borrow().kind)
-            else {
+            let Some(key @ (kind, client, netem, delay_ms)) = run_cell(&run.borrow().kind) else {
                 cell_of.push(NO_CELL);
                 continue;
             };
-            let number = match last {
-                Some(((c, n, r, _), number, _)) if (c, n, r) == (client, netem, record) => number,
-                _ if !ctx.netem(netem).is_empty() => None,
-                _ => *numbers.entry((client, record)).or_insert_with(|| {
-                    let model = ctx.fast.model(client, record)?;
-                    models.push((model, BTreeMap::new(), Vec::new()));
-                    Some(u32::try_from(models.len() - 1).expect("fewer than 2^32 models"))
-                }),
-            };
-            let cell = match (last, number) {
-                (Some((prev, _, cell)), _) if prev == fields => cell,
-                (_, None) => NO_CELL,
-                (_, Some(m)) => {
-                    let (model, by_delay, cells) = &mut models[m as usize];
-                    let i = *by_delay.entry(delay_ms).or_insert_with(|| {
-                        cells.push(FastCell::new(*model, delay_ms));
-                        u32::try_from(cells.len() - 1).expect("fewer than 2^32 cells a model")
-                    });
-                    (m, i)
+            let group = match last {
+                Some((prev, cell)) if prev == key => {
+                    cell_of.push(cell);
+                    continue;
                 }
+                Some(((k, c, n, _), (group, _))) if (k, c, n) == (kind, client, netem) => group,
+                _ => *group_numbers
+                    .entry((kind, client, netem))
+                    .or_insert_with(|| {
+                        let model = kind
+                            .model_record()
+                            .filter(|_| ctx.netem(netem).is_empty())
+                            .and_then(|record| {
+                                *numbers.entry((client, record)).or_insert_with(|| {
+                                    let model = ctx.fast.model(client, record)?;
+                                    models.push((model, ByDelay::new()));
+                                    Some(index(models.len() - 1))
+                                })
+                            });
+                        groups.push((model, ByDelay::new()));
+                        index(groups.len() - 1)
+                    }),
             };
-            last = Some((fields, number, cell));
-            cell_of.push(cell);
+            let (model, cells) = &mut groups[group as usize];
+            let i = cells.cell(delay_ms, || {
+                let fast = model.map_or(NO_CELL, |m| {
+                    let (model, cells) = &mut models[m as usize];
+                    (m, cells.cell(delay_ms, || FastCell::new(*model, delay_ms)))
+                });
+                Cell {
+                    fast,
+                    sim: SimCell::default(),
+                }
+            });
+            last = Some((key, (group, i)));
+            cell_of.push((group, i));
         }
-        let cells = models.into_iter().map(|(_, _, cells)| cells).collect();
-        CellMemo { cells, cell_of }
+        CellMemo {
+            fast: models.into_iter().map(|(_, cells)| cells.cells).collect(),
+            cells: groups.into_iter().map(|(_, cells)| cells.cells).collect(),
+            cell_of,
+        }
     }
 
-    fn cell(&self, position: usize) -> Option<&FastCell<'c>> {
-        let (model, index) = self.cell_of[position];
-        self.cells.get(model as usize)?.get(index as usize)
+    /// The fast-path cell and the simulated cell of the run at
+    /// `position`, when it has them.
+    fn cell(&self, position: usize) -> (Option<&FastCell<'c>>, Option<&SimCell>) {
+        let (group, i) = self.cell_of[position];
+        let Some(cell) = self
+            .cells
+            .get(group as usize)
+            .and_then(|cells| cells.get(i as usize))
+        else {
+            return (None, None);
+        };
+        let (model, i) = cell.fast;
+        let fast = self
+            .fast
+            .get(model as usize)
+            .and_then(|cells| cells.get(i as usize));
+        (fast, Some(&cell.sim))
     }
 }
 
@@ -405,18 +551,19 @@ impl RunContext {
             .unwrap_or_else(|| panic!("run references unresolved client {id:?}"))
     }
 
-    /// A fresh cell for one run, outside any [`CellMemo`], when a model
-    /// serves the run: a CAD or RD run under a netem label with empty
-    /// rules.
+    /// A fresh fast-path cell for one run, outside any [`CellMemo`], when
+    /// a model serves the run: a CAD or RD run under a netem label with
+    /// empty rules.
     fn fast_cell(&self, kind: &RunKind) -> Option<FastCell<'_>> {
         if self.fast.is_empty() {
             return None;
         }
-        let (client, netem, record, delay_ms) = run_cell(kind)?;
+        let (kind, client, netem, delay_ms) = run_cell(kind)?;
         if !self.netem(netem).is_empty() {
             return None;
         }
-        Some(FastCell::new(self.fast.model(client, record)?, delay_ms))
+        let model = self.fast.model(client, kind.model_record()?)?;
+        Some(FastCell::new(model, delay_ms))
     }
 
     /// Verified fast-path models held: `(cad, rd)`.
@@ -434,21 +581,27 @@ impl RunContext {
 }
 
 /// Executes a single run in a fresh simulation, or through its fast-path
-/// model when one serves it. Each call drives the model afresh; only
-/// [`execute_with`] shares a cell's outcome between runs.
+/// model when one serves it. Each call drives the model or the
+/// simulation afresh; only [`execute_with`] shares a cell's outcome
+/// between runs.
 ///
 /// Worker panics are forwarded unchanged, but when the flight recorder's
 /// trigger engine is armed, a `run-panic` bundle (provenance + panic
 /// message, no trace) is written first — the black box survives the
 /// crash it describes.
 pub fn run_one(ctx: &RunContext, run: &RunSpec) -> RunOutput {
-    run_one_with(ctx, run, ctx.fast_cell(&run.kind).as_ref())
+    run_one_with(ctx, run, ctx.fast_cell(&run.kind).as_ref(), None)
 }
 
-/// [`run_one`] served by `cell` when it is given.
-fn run_one_with(ctx: &RunContext, run: &RunSpec, cell: Option<&FastCell<'_>>) -> RunOutput {
+/// [`run_one`] served by the `fast` and `sim` cells when they are given.
+fn run_one_with(
+    ctx: &RunContext,
+    run: &RunSpec,
+    fast: Option<&FastCell<'_>>,
+    sim: Option<&SimCell>,
+) -> RunOutput {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_one_inner(ctx, run, cell)
+        run_one_inner(ctx, run, fast, sim)
     })) {
         Ok(out) => out,
         Err(payload) => {
@@ -462,7 +615,12 @@ fn run_one_with(ctx: &RunContext, run: &RunSpec, cell: Option<&FastCell<'_>>) ->
     }
 }
 
-fn run_one_inner(ctx: &RunContext, run: &RunSpec, cell: Option<&FastCell<'_>>) -> RunOutput {
+fn run_one_inner(
+    ctx: &RunContext,
+    run: &RunSpec,
+    fast: Option<&FastCell<'_>>,
+    sim: Option<&SimCell>,
+) -> RunOutput {
     let m = metrics();
     m.runs.inc();
     if run.refined {
@@ -477,14 +635,18 @@ fn run_one_inner(ctx: &RunContext, run: &RunSpec, cell: Option<&FastCell<'_>>) -
     } else {
         None
     };
-    match cell.map(|cell| cell.serve(&run.kind)) {
+    let simulated = || match sim {
+        Some(cell) => cell.simulate(ctx, run),
+        None => simulate(ctx, run),
+    };
+    match fast.map(|cell| cell.serve(&run.kind)) {
         Some(Ok(out)) => out,
         Some(Err(reason)) => {
-            let out = simulate(ctx, run);
+            let out = simulated();
             crate::forensics::on_fastpath_fallback(&ctx.spec, run, reason);
             out
         }
-        None => simulate(ctx, run),
+        None => simulated(),
     }
 }
 
@@ -569,10 +731,13 @@ pub fn execute(
 /// scheduling-dependent — the hook is for side channels (checkpoints,
 /// logs), never for anything that feeds the report.
 ///
-/// With the fast path on, the call drives each distinct fast-path cell
-/// once and copies its outcome into every run of the cell; the outputs
-/// and the per-run `fastpath.runs` / `fastpath.fallbacks` counts equal a
-/// [`run_one`] loop's.
+/// The call drives each distinct fast-path cell once, and simulates each
+/// CAD, RD and selection cell once when its first run draws no random
+/// number, copying the outcome into every run of the cell (restamped
+/// with the run's `rep`); `campaign.runs_shared` counts the runs so
+/// served. The outputs, and the per-run `campaign.runs`,
+/// `fastpath.runs` and `fastpath.fallbacks` counts, equal a [`run_one`]
+/// loop's.
 pub fn execute_with(
     ctx: &RunContext,
     runs: &[RunSpec],
@@ -593,13 +758,13 @@ pub(crate) fn execute_runs<R: Borrow<RunSpec> + Sync>(
     progress: impl FnMut(usize, usize),
     on_result: impl FnMut(usize, &RunOutput),
 ) -> Vec<RunOutput> {
-    let memo = (!ctx.fast.is_empty()).then(|| CellMemo::new(ctx, runs));
+    let memo = CellMemo::new(ctx, runs);
     execute_indexed_with(
         runs.len(),
         jobs,
         |position| {
-            let cell = memo.as_ref().and_then(|memo| memo.cell(position));
-            run_one_with(ctx, runs[position].borrow(), cell)
+            let (fast, sim) = memo.cell(position);
+            run_one_with(ctx, runs[position].borrow(), fast, sim)
         },
         progress,
         on_result,
@@ -711,7 +876,7 @@ mod tests {
 
     #[test]
     fn steal_path_with_single_run_stripes() {
-        // total == jobs gives every worker a 1-run stripe (nothing to
+        // total == jobs gives every worker a 1-run block (nothing to
         // steal); total == jobs + 1 forces exactly one steal attempt race.
         let mut spec = small_spec();
         spec.clients = vec![
@@ -723,7 +888,8 @@ mod tests {
         assert_eq!(runs.len(), 9);
         assert_matches_sequential(&spec, 9);
         assert_matches_sequential(&spec, 8);
-        // Heavily oversubscribed stealing: 2-run stripes, many thieves.
+        // Heavily oversubscribed stealing: 1- and 2-run blocks, many
+        // thieves.
         assert_matches_sequential(&spec, 5);
     }
 

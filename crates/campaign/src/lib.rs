@@ -8,9 +8,10 @@
 //!    value.
 //! 2. **[`plan`]** — deterministic expansion into concrete [`RunSpec`]s,
 //!    each with a seed derived from the campaign seed ([`derive_seed`]).
-//! 3. **[`executor`]** — a work-stealing thread pool; every run gets a
-//!    fresh simulation (the paper's container reset) and reduces its raw
-//!    capture to a small [`RunOutput`] on the worker.
+//! 3. **[`executor`]** — a work-stealing thread pool; every simulation
+//!    is fresh (the paper's container reset) and reduces its raw capture
+//!    to a small [`RunOutput`] on the worker. A cell whose runs draw no
+//!    random number is simulated once and shared by its repetitions.
 //! 4. **[`refine`]** — the paper's coarse→fine workflow (§5.1): every
 //!    CAD/RD cell whose first pass detected a switchover bracket gets a
 //!    second, fine sweep inside the bracket at `refine_step_ms`

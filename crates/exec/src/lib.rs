@@ -10,12 +10,14 @@
 //! - [`execute_indexed`] / [`execute_indexed_with`] — a work-stealing
 //!   pool of `jobs` threads in total over jobs `0..total`: the calling
 //!   thread is worker 0 and `jobs − 1` scoped threads are its peers, so
-//!   `--jobs 2` puts two threads on two cores, not three. Jobs are striped
-//!   across per-worker deques up front; a worker drains its own deque from
-//!   the front and, when empty, steals the back half of the longest other
-//!   deque. Between its own jobs the caller drains finished peer results
-//!   without blocking and runs the hooks on them; it parks on the result
-//!   channel only once it has no job left. Results are keyed by job
+//!   `--jobs 2` puts two threads on two cores, not three. Each worker's
+//!   deque starts as one contiguous block of indices, so neighbouring
+//!   jobs — a campaign cell's repetitions — run on one worker, one after
+//!   another. A worker drains its own deque from the front and, when
+//!   empty, steals the back half of the longest other deque, which keeps
+//!   stolen work contiguous too. Between its own jobs the caller drains
+//!   finished peer results without blocking and runs the hooks on them;
+//!   it parks on the result channel only once it has no job left. Results are keyed by job
 //!   index, so the output vector is independent of scheduling.
 //! - [`Shard`] — the `--shard i/n` arithmetic (`index % n == i`) both
 //!   CLIs use for multi-machine splits, with its JSON mapping.
@@ -253,6 +255,18 @@ fn steal(queues: &[WorkQueue], me: usize) -> Option<usize> {
     }
 }
 
+/// The initial deal of jobs `0..total` to `jobs` workers: worker `w`
+/// gets one contiguous block, the blocks cover `0..total` in order, and
+/// their lengths differ by at most one. Neighbouring jobs then run on
+/// one worker in index order, not on different workers at the same
+/// moment: a job that waits on its neighbour's shared result (the
+/// campaign's cell memo) finds it already done.
+fn deal(total: usize, jobs: usize) -> Vec<std::ops::Range<usize>> {
+    (0..jobs)
+        .map(|w| w * total / jobs..(w + 1) * total / jobs)
+        .collect()
+}
+
 /// Executes jobs `0..total` with `run(index)`, fanning out over `jobs`
 /// worker threads (the calling thread plus `jobs − 1` spawned ones), and
 /// returns the outputs **in index order**. A panicking job fails the
@@ -323,10 +337,10 @@ pub fn execute_indexed_with<O: Send>(
             .collect();
     }
 
-    // Stripe jobs across workers so early indices start immediately on
-    // every thread; stealing rebalances the tail.
-    let queues: Vec<WorkQueue> = (0..jobs)
-        .map(|w| WorkQueue::new((w..total).step_by(jobs).collect()))
+    // One contiguous block per worker; stealing rebalances the tail.
+    let queues: Vec<WorkQueue> = deal(total, jobs)
+        .into_iter()
+        .map(|block| WorkQueue::new(block.collect()))
         .collect();
     // Take job 0 before any peer exists to steal it: it always runs on
     // the caller.
@@ -446,6 +460,29 @@ mod tests {
     }
 
     #[test]
+    fn the_initial_deal_is_one_contiguous_block_per_worker() {
+        for jobs in 1..=8 {
+            for total in [0, 1, jobs - 1, jobs, jobs + 1, 3 * jobs + 2, 100] {
+                let blocks = deal(total, jobs);
+                assert_eq!(blocks.len(), jobs, "total {total}, jobs {jobs}");
+                // In order and gap-free, so every index is dealt once.
+                let mut next = 0;
+                for block in &blocks {
+                    assert_eq!(block.start, next, "total {total}, jobs {jobs}: {blocks:?}");
+                    next = block.end;
+                }
+                assert_eq!(next, total, "total {total}, jobs {jobs}: {blocks:?}");
+                let lens = blocks.iter().map(ExactSizeIterator::len);
+                let (min, max) = (lens.clone().min(), lens.max());
+                assert!(
+                    max.unwrap() - min.unwrap() <= 1,
+                    "total {total}, jobs {jobs}: {blocks:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn heavy_oversubscription_still_runs_everything() {
         // total barely above jobs forces steal races; total below jobs
         // clamps the pool.
@@ -508,10 +545,10 @@ mod tests {
     fn a_panicking_job_fails_the_call_without_hanging() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::time::Duration;
-        // Job 0 runs on the caller; job 1 is the front of the first
+        // Job 0 runs on the caller; job 31 is the back of the last
         // spawned worker's deque.
         for jobs in [1, 2, 4] {
-            for bad in [0, 1] {
+            for bad in [0, 31] {
                 let (tx, rx) = mpsc::channel();
                 std::thread::spawn(move || {
                     lazyeye_obs::trace::set_worker(77);

@@ -135,69 +135,6 @@ fn metrics() -> &'static SimMetrics {
 /// task spawns, event schedules) are recorded on a sampled run's virtual track.
 const RUN_TRACE_EVENT_CAP: u32 = 512;
 
-/// Process-wide scheduler counters, aggregated across every [`Sim`] as it
-/// is reset or dropped. The poll/timer/task counters are deterministic
-/// for a fixed workload (whatever the worker count), which is what lets
-/// `BENCH.json` pin them (checked by `crates/bench/tests/bench_counters.rs`).
-///
-/// This is a compatibility view over the `lazyeye-obs` registry (metric
-/// names `sim.polls`, `sim.timers_fired`, ...); new code should read the
-/// registry directly.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// `Future::poll` calls.
-    pub polls: u64,
-    /// Timers popped from the wheel.
-    pub timers_fired: u64,
-    /// Timers armed (wheel inserts).
-    pub timers_armed: u64,
-    /// Tasks spawned.
-    pub tasks_spawned: u64,
-    /// Events scheduled with [`SimHandle::schedule_at`].
-    pub events_scheduled: u64,
-    /// Fresh slab slots allocated (each costs one waker + slot alloc).
-    pub slots_allocated: u64,
-    /// Slab slots recycled through the free list (alloc-free spawns).
-    pub slots_reused: u64,
-    /// Simulations created from scratch.
-    pub sims_created: u64,
-    /// Simulations reused via [`Sim::reset`] / [`SimPool`].
-    pub sims_reset: u64,
-}
-
-/// Snapshot of the process-wide scheduler counters. Per-`Sim` tallies are
-/// flushed on [`Sim::reset`] and on drop, so read this after the
-/// workload's sims are done (or pooled).
-pub fn sim_stats() -> SimStats {
-    let m = metrics();
-    SimStats {
-        polls: m.polls.get(),
-        timers_fired: m.timers_fired.get(),
-        timers_armed: m.timers_armed.get(),
-        tasks_spawned: m.tasks_spawned.get(),
-        events_scheduled: m.events_scheduled.get(),
-        slots_allocated: m.slots_allocated.get(),
-        slots_reused: m.slots_reused.get(),
-        sims_created: m.sims_created.get(),
-        sims_reset: m.sims_reset.get(),
-    }
-}
-
-/// Zeroes the scheduler counters in the registry (bench harness setup).
-pub fn reset_sim_stats() {
-    let m = metrics();
-    m.polls.reset();
-    m.timers_fired.reset();
-    m.timers_armed.reset();
-    m.tasks_spawned.reset();
-    m.events_scheduled.reset();
-    m.slots_allocated.reset();
-    m.slots_reused.reset();
-    m.sims_created.reset();
-    m.sims_reset.reset();
-    m.run_virtual_us.reset();
-}
-
 // ---------------------------------------------------------------------------
 // Waker-reachable side: the wake queue
 // ---------------------------------------------------------------------------
@@ -563,7 +500,7 @@ pub(crate) struct ExecCore {
     current_task: Option<TaskId>,
     pub(crate) rng: SmallRng,
     /// Counters exposed for benchmarking and diagnostics (flushed to the
-    /// process-wide [`sim_stats`] on reset/drop).
+    /// `sim.*` registry counters on reset/drop).
     polls: u64,
     timers_fired: u64,
     timers_armed: u64,
@@ -754,7 +691,7 @@ impl Sim {
     /// reseeded with `seed`, no tasks, no timers — while keeping every
     /// allocation (task slab, wheel slots, queues) for the next run. A
     /// reset `Sim` is observably indistinguishable from `Sim::new(seed)`;
-    /// the per-sim counters flush into [`sim_stats`] first.
+    /// the per-sim counters flush into the registry first.
     ///
     /// Live tasks are cancelled by dropping their futures, and pending
     /// events through [`EventSink::cancel`] (inside the sim context, so
@@ -1296,9 +1233,25 @@ pub fn now() -> SimTime {
     with_current(SimHandle::now)
 }
 
+thread_local! {
+    static RNG_DRAWS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Runs `f` with mutable access to the simulation's deterministic RNG.
+/// This is the only path from a simulation's seed into its program, and
+/// each call counts as one draw in [`rng_draws`].
 pub fn with_rng<T>(f: impl FnOnce(&mut SmallRng) -> T) -> T {
+    RNG_DRAWS.with(|d| d.set(d.get() + 1));
     with_current(|h| f(&mut h.core.borrow_mut().rng))
+}
+
+/// RNG draws ([`with_rng`] calls) made on this thread so far, by every
+/// simulation it drove. A simulation runs on the thread that drives it,
+/// so the difference across one run is that run's exact draw count; a
+/// run that drew nothing never read its seed, and any seed gives the
+/// same schedule.
+pub fn rng_draws() -> u64 {
+    RNG_DRAWS.with(std::cell::Cell::get)
 }
 
 #[cfg(test)]
@@ -1819,24 +1772,45 @@ mod tests {
 
     #[test]
     fn stats_flush_on_reset_and_drop() {
-        // The counters are process-wide atomics and other tests in this
+        // The registry counters are process-wide and other tests in this
         // binary create/drop sims concurrently, so every assertion is a
         // monotonic lower bound on *this* sim's contribution — exact
         // equality would flake under parallel test scheduling.
-        let before = sim_stats();
+        let m = metrics();
+        let (polls, fired, reset, created) = (
+            m.polls.get(),
+            m.timers_fired.get(),
+            m.sims_reset.get(),
+            m.sims_created.get(),
+        );
         let mut sim = Sim::new(3);
         sim.block_on(async {
             sleep(Duration::from_millis(1)).await;
         });
         sim.reset(3);
-        let after_reset = sim_stats();
         assert!(
-            after_reset.polls >= before.polls + 2,
+            m.polls.get() >= polls + 2,
             "reset must flush this sim's polls"
         );
-        assert!(after_reset.timers_fired > before.timers_fired);
-        assert!(after_reset.sims_reset > before.sims_reset);
+        assert!(m.timers_fired.get() > fired);
+        assert!(m.sims_reset.get() > reset);
         drop(sim);
-        assert!(sim_stats().sims_created > before.sims_created);
+        assert!(m.sims_created.get() > created);
+    }
+
+    #[test]
+    fn rng_draws_count_every_with_rng_call_on_this_thread() {
+        let mut sim = Sim::new(5);
+        let before = rng_draws();
+        sim.block_on(async {
+            sleep(Duration::from_millis(1)).await;
+        });
+        assert_eq!(rng_draws(), before, "a run without with_rng draws nothing");
+        sim.block_on(async {
+            for _ in 0..3 {
+                with_rng(|r| rand::Rng::gen_range(r, 0..10u32));
+            }
+        });
+        assert_eq!(rng_draws(), before + 3);
     }
 }

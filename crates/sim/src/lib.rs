@@ -42,9 +42,8 @@ mod wheel;
 
 pub use combinators::{join2, join_all, race, Either, JoinAll};
 pub use executor::{
-    current, has_current, now, pooled, reset_sim_stats, schedule_at, sim_stats, spawn,
-    spawn_detached, with_rng, Aborted, EventSink, JoinHandle, RunOutcome, Sim, SimHandle, SimPool,
-    SimStats, TaskId,
+    current, has_current, now, pooled, rng_draws, schedule_at, spawn, spawn_detached, with_rng,
+    Aborted, EventSink, JoinHandle, RunOutcome, Sim, SimHandle, SimPool, TaskId,
 };
 pub use time::SimTime;
 pub use timer::{sleep, sleep_until, timeout, timeout_at, yield_now, Elapsed, Sleep};
